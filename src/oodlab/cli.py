@@ -26,6 +26,7 @@ from .gda import (
     DOMAIN_IN,
     InvalidThreshold,
     LabeledSet,
+    MalformedData,
     fit_gda,
     sample_cluster_family,
     sample_synthetic,
@@ -124,10 +125,6 @@ def cmd_demo_false_likelihood(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_simulate_shift(config: ExperimentConfig, out_dir: str) -> int:
-    if config.shift.steps < 1:
-        raise ConfigError("[shift] steps must be >= 1")
-    if config.shift.lr <= 0:
-        raise ConfigError("[shift] lr must be positive")
     d = config.data
     bank = make_shift_bank(
         d.mu, d.zeta, config.shift.n_in, config.shift.n_out, component_seed(d.seed, "shift_bank"), dims=d.dims
@@ -139,7 +136,6 @@ def cmd_simulate_shift(config: ExperimentConfig, out_dir: str) -> int:
         model,
         steps=config.shift.steps,
         lr=config.shift.lr,
-        seed=d.seed,
         zeta=d.zeta,
     )
     trajectory_to_csv(trajectory, os.path.join(out_dir, "trajectory.csv"))
@@ -275,13 +271,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-features":
             return cmd_export_features(config, out_dir, args.checkpoint)
         raise AssertionError(args.command)
-    except (ConfigError, InvalidThreshold) as exc:
+    except (ConfigError, InvalidThreshold, trainer.DegenerateData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (trainer.NonFiniteLoss, NonFiniteState) as exc:
         print(f"non-finite training state: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, MalformedData, trainer.MalformedCheckpoint) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
 

@@ -61,7 +61,6 @@ class ShiftConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    hist_bins: int = 20
     rng: str = RNG_ALGORITHM
 
 
@@ -139,6 +138,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ConfigError("[data] mu must be positive")
     if data.n < 0 or data.dims < 2:
         raise ConfigError("[data] n must be >= 0 and dims >= 2")
+    if data.hard_clusters < 1 or data.hard_std <= 0:
+        raise ConfigError("[data] hard_clusters must be >= 1 and hard_std positive")
 
     kind = get("criterion", "kind", "ice")
     if kind not in criteria.KINDS:
@@ -156,10 +157,13 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         n_in=_parse_number("shift", "n_in", get("shift", "n_in", "200"), int),
         n_out=_parse_number("shift", "n_out", get("shift", "n_out", "200"), int),
     )
+    if shift.steps < 1 or shift.n_in < 1 or shift.n_out < 1:
+        raise ConfigError("[shift] steps, n_in and n_out must be >= 1")
+    if shift.lr <= 0:
+        raise ConfigError("[shift] lr must be positive")
 
     output = OutputConfig(
         directory=get("output", "dir", "out"),
-        hist_bins=_parse_number("output", "hist_bins", get("output", "hist_bins", "20"), int),
         rng=get("output", "rng", RNG_ALGORITHM),
     )
     if output.rng != RNG_ALGORITHM:
@@ -237,7 +241,7 @@ def resolved_ini(config: ExperimentConfig) -> str:
         "",
         "[output]",
         f"dir = {config.output.directory}",
-        f"hist_bins = {config.output.hist_bins}",
+        f"hist_bins = {train.hist_bins}",
         f"rng = {config.output.rng}",
     ]
     return "\n".join(lines) + "\n"

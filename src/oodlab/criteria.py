@@ -1,10 +1,12 @@
 """Training criteria: values and analytic gradients with respect to head scores.
 
-Per-sample losses (sce, oe_uniform, energy, ice_id, ice_ood, bce_outlier) each
-return a LossReport carrying the scalar value and dL/dscores. The combined
-objectives pair an in-distribution branch with an outlier branch under a
-balance weight, and a small dispatcher maps a criterion kind to its two
-branches so the trainer and the shift simulation share one code path.
+Every loss (sce, oe_uniform, energy, ice_id, ice_ood, bce_outlier) is one
+batch kernel over scores whose last axis holds the K classes. It returns a
+LossReport with one value per row and dL/dscores of the scores' shape, so a
+(B, K) batch gives B values and a single (K,) score vector is the per-sample
+case with a scalar value. The branch dispatchers id_loss and ood_loss map a
+criterion kind to its in-distribution and outlier terms, balance weight
+included, so the trainer and the shift simulation share one batch code path.
 
 Sign conventions worth keeping in mind:
   - sce pushes the ground-truth score up and every other score down;
@@ -45,25 +47,10 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class LossReport:
-    value: float
+    """Per-row loss values (shape ``scores.shape[:-1]``) and dL/dscores."""
+
+    value: np.ndarray
     d_scores: np.ndarray
-
-    def scaled(self, factor: float) -> "LossReport":
-        return LossReport(factor * self.value, factor * self.d_scores)
-
-
-@dataclass(frozen=True)
-class BranchReports:
-    """A combined objective split into its two gradient branches.
-
-    ``in_branch.d_scores`` is the full gradient of the total with respect to
-    the in-distribution sample's scores; ``out_branch`` likewise for the
-    outlier's scores. ``total`` is the sum of both branch values.
-    """
-
-    total: float
-    in_branch: LossReport
-    out_branch: LossReport
 
 
 @dataclass(frozen=True)
@@ -85,24 +72,6 @@ class CriterionConfig:
         return self.kind in ("ice", "ice_minus")
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
-
-
-def _logsumexp(scores: np.ndarray) -> float:
-    m = float(scores.max())
-    return m + math.log(float(np.exp(scores - m).sum()))
-
-
-def _log1mexp(x: float) -> float:
-    """log(1 - exp(x)) for x < 0, split at -ln 2 for relative accuracy."""
-    if x > -_LN2:
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
-
-
 def _check_nonpositive(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if np.any(h > 0):
@@ -110,16 +79,29 @@ def _check_nonpositive(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def sce(scores: np.ndarray, y: int) -> LossReport:
+def _one_hot(scores: np.ndarray, y) -> np.ndarray:
+    """Boolean (..., K) mask of each row's label, after a range check."""
+    y = np.asarray(y)
+    k = scores.shape[-1]
+    if y.shape != scores.shape[:-1]:
+        raise ValueError(f"need one label per score row, got labels of shape {y.shape}")
+    bad = (y < 0) | (y >= k)
+    if np.any(bad):
+        raise ValueError(f"label {y[bad].flat[0]} out of range for K={k}")
+    return np.arange(k) == y[..., None]
+
+
+def _row_entries(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The entry of each row that a one-hot ``mask`` selects."""
+    return scores[mask].reshape(scores.shape[:-1])
+
+
+def sce(scores: np.ndarray, y) -> LossReport:
     """Softmax cross-entropy against the one-hot target ``y``."""
     scores = np.asarray(scores, dtype=float)
-    if not 0 <= y < scores.shape[0]:
-        raise ValueError(f"label {y} out of range for K={scores.shape[0]}")
-    probs = _softmax(scores)
-    value = _logsumexp(scores) - float(scores[y])
-    d_scores = probs.copy()
-    d_scores[y] -= 1.0
-    return LossReport(value, d_scores)
+    onehot = _one_hot(scores, y)
+    rep = energy(scores)
+    return LossReport(rep.value - _row_entries(scores, onehot), rep.d_scores - onehot)
 
 
 def oe_uniform(scores: np.ndarray) -> LossReport:
@@ -129,46 +111,27 @@ def oe_uniform(scores: np.ndarray) -> LossReport:
     the value; positive exactly where the softmax mass exceeds 1/K.
     """
     scores = np.asarray(scores, dtype=float)
-    k = scores.shape[0]
+    k = scores.shape[-1]
     if k < 2:
         raise ValueError("need at least two classes")
-    value = _logsumexp(scores) - float(scores.mean())
-    d_scores = _softmax(scores) - 1.0 / k
-    return LossReport(value, d_scores)
+    rep = energy(scores)
+    return LossReport(rep.value - scores.mean(axis=-1), rep.d_scores - 1.0 / k)
 
 
 def energy(scores: np.ndarray) -> LossReport:
     """logsumexp of the scores; its gradient is the softmax, strictly positive."""
     scores = np.asarray(scores, dtype=float)
-    return LossReport(_logsumexp(scores), _softmax(scores))
+    top = scores.max(axis=-1, keepdims=True)
+    expd = np.exp(scores - top)
+    total = expd.sum(axis=-1, keepdims=True)
+    return LossReport((top + np.log(total))[..., 0], expd / total)
 
 
-def energy_objective(in_scores: np.ndarray, y: int, out_scores: np.ndarray, lam: float) -> BranchReports:
-    """sce on the in-sample plus lam * (-energy(in) + energy(out)).
-
-    The lam term adds a strictly negative contribution to every
-    in-distribution score gradient, which is what makes this objective fight
-    the sce direction on non-target classes.
-    """
-    sce_rep = sce(in_scores, y)
-    e_in = energy(in_scores)
-    e_out = energy(out_scores)
-    in_branch = LossReport(
-        sce_rep.value - lam * e_in.value,
-        sce_rep.d_scores - lam * e_in.d_scores,
-    )
-    out_branch = e_out.scaled(lam)
-    return BranchReports(in_branch.value + out_branch.value, in_branch, out_branch)
-
-
-def ice_id(h: np.ndarray, y: int) -> LossReport:
+def ice_id(h: np.ndarray, y) -> LossReport:
     """Negated ground-truth score, -h_y: pulls the sample onto its class center."""
     h = _check_nonpositive(h)
-    if not 0 <= y < h.shape[0]:
-        raise ValueError(f"label {y} out of range for K={h.shape[0]}")
-    d_scores = np.zeros_like(h)
-    d_scores[y] = -1.0
-    return LossReport(-float(h[y]), d_scores)
+    onehot = _one_hot(h, y)
+    return LossReport(-_row_entries(h, onehot), np.where(onehot, -1.0, 0.0))
 
 
 def ice_ood(h: np.ndarray) -> LossReport:
@@ -179,38 +142,14 @@ def ice_ood(h: np.ndarray) -> LossReport:
     denominator, so the loss tops out at -log(ICE_OOD_EPS).
     """
     h = _check_nonpositive(h)
-    top = int(np.argmax(h))
-    h_star = float(h[top])
-    one_minus = -math.expm1(h_star)  # exact 1 - exp(h*) for h* <= 0
-    d_scores = np.zeros_like(h)
-    if one_minus < ICE_OOD_EPS:
-        value = -math.log(ICE_OOD_EPS)
-        d_scores[top] = math.exp(h_star) / ICE_OOD_EPS
-    else:
-        value = -_log1mexp(h_star)
-        d_scores[top] = math.exp(h_star) / one_minus
-    return LossReport(value, d_scores)
-
-
-def ice_objective(
-    in_h: np.ndarray, y: int, out_h: np.ndarray, lam: float, include_id: bool = True
-) -> BranchReports:
-    """sce on the in-sample scores plus lam * (ice_id(in) + ice_ood(out)).
-
-    ``include_id=False`` drops the ice_id summand, which is the ablation that
-    keeps the outlier push but gives up the center pull.
-    """
-    sce_rep = sce(_check_nonpositive(in_h), y)
-    if include_id:
-        id_rep = ice_id(in_h, y)
-        in_branch = LossReport(
-            sce_rep.value + lam * id_rep.value,
-            sce_rep.d_scores + lam * id_rep.d_scores,
-        )
-    else:
-        in_branch = sce_rep
-    out_branch = ice_ood(out_h).scaled(lam)
-    return BranchReports(in_branch.value + out_branch.value, in_branch, out_branch)
+    top = np.arange(h.shape[-1]) == np.argmax(h, axis=-1)[..., None]
+    h_star = h.max(axis=-1)
+    denom = np.maximum(-np.expm1(h_star), ICE_OOD_EPS)  # exact 1 - exp(h*), floored
+    # log(1 - exp(h*)) split at -ln 2 for relative accuracy; the far branch is
+    # evaluated at min(h*, -ln 2) so rows on the near side never reach log1p(-1).
+    far = np.log1p(-np.exp(np.minimum(h_star, -_LN2)))
+    value = -np.where(h_star > -_LN2, np.log(denom), far)
+    return LossReport(value, np.where(top, (np.exp(h_star) / denom)[..., None], 0.0))
 
 
 def bce_outlier(scores: np.ndarray, targets: np.ndarray) -> LossReport:
@@ -227,23 +166,16 @@ def bce_outlier(scores: np.ndarray, targets: np.ndarray) -> LossReport:
     # -[t log sig(s) + (1-t) log(1 - sig(s))] = t*softplus(-s) + (1-t)*softplus(s)
     softplus = np.logaddexp(0.0, scores)
     softplus_neg = np.logaddexp(0.0, -scores)
-    value = float((targets * softplus_neg + (1.0 - targets) * softplus).sum())
+    value = (targets * softplus_neg + (1.0 - targets) * softplus).sum(axis=-1)
     sigmoid = 1.0 / (1.0 + np.exp(-scores))
     return LossReport(value, sigmoid - targets)
 
 
-def _one_hot(k: int, y: int) -> np.ndarray:
-    t = np.zeros(k)
-    t[y] = 1.0
-    return t
+def id_loss(config: CriterionConfig, scores: np.ndarray, y, weight: float | None = None) -> LossReport:
+    """The in-distribution branch of ``config.kind``, balance terms included.
 
-
-def _zero_report(k: int) -> LossReport:
-    return LossReport(0.0, np.zeros(k))
-
-
-def id_loss(config: CriterionConfig, scores: np.ndarray, y: int, weight: float | None = None) -> LossReport:
-    """The in-distribution branch of ``config.kind``, balance terms included."""
+    ``scores`` is (B, K) with B labels ``y``, or one (K,) row with a scalar label.
+    """
     scores = np.asarray(scores, dtype=float)
     w = config.weight if weight is None else weight
     if config.kind in ("plain", "oe"):
@@ -259,7 +191,7 @@ def id_loss(config: CriterionConfig, scores: np.ndarray, y: int, weight: float |
     if config.kind == "ice_minus":
         return sce(_check_nonpositive(scores), y)
     if config.kind == "bce":
-        return bce_outlier(scores, _one_hot(scores.shape[0], y))
+        return bce_outlier(scores, _one_hot(scores, y).astype(float))
     raise AssertionError(config.kind)
 
 
@@ -268,13 +200,15 @@ def ood_loss(config: CriterionConfig, scores: np.ndarray, weight: float | None =
     scores = np.asarray(scores, dtype=float)
     w = config.weight if weight is None else weight
     if config.kind == "plain":
-        return _zero_report(scores.shape[0])
+        return LossReport(np.zeros(scores.shape[:-1]), np.zeros_like(scores))
     if config.kind == "oe":
-        return oe_uniform(scores).scaled(w)
-    if config.kind == "energy":
-        return energy(scores).scaled(w)
-    if config.kind in ("ice", "ice_minus"):
-        return ice_ood(scores).scaled(w)
-    if config.kind == "bce":
-        return bce_outlier(scores, np.zeros(scores.shape[0])).scaled(w)
-    raise AssertionError(config.kind)
+        rep = oe_uniform(scores)
+    elif config.kind == "energy":
+        rep = energy(scores)
+    elif config.kind in ("ice", "ice_minus"):
+        rep = ice_ood(scores)
+    elif config.kind == "bce":
+        rep = bce_outlier(scores, np.zeros_like(scores))
+    else:
+        raise AssertionError(config.kind)
+    return LossReport(w * rep.value, w * rep.d_scores)

@@ -34,6 +34,10 @@ class InvalidThreshold(ValueError):
     """The in/out density threshold is at or above the class density maximum."""
 
 
+class MalformedData(ValueError):
+    """A data CSV has a bad header, a short or unparsable row, or a non-finite value."""
+
+
 @dataclass(frozen=True)
 class LabeledSet:
     """Parallel arrays of features, class labels, and in/out domain tags.
@@ -92,19 +96,25 @@ class LabeledSet:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSet":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if len(header) < 3 or header[-2:] != ["label", "domain"]:
-                raise ValueError(f"unexpected LabeledSet header in {path}: {header}")
-            dim = len(header) - 2
-            feats, labels, domain = [], [], []
-            for row in reader:
-                feats.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]) if row[dim] != "" else NO_LABEL)
-                domain.append(row[dim + 1])
-        features = np.asarray(feats, dtype=float).reshape(len(feats), dim)
-        return cls(features, np.asarray(labels, dtype=int), np.asarray(domain))
+        """Read a ``to_csv`` file; raises MalformedData on bad content, OSError if unreadable."""
+        feats, labels, domain = [], [], []
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                if len(header) < 3 or header[-2:] != ["label", "domain"]:
+                    raise ValueError(f"unexpected LabeledSet header {header}")
+                dim = len(header) - 2
+                for row in reader:
+                    if len(row) != dim + 2:
+                        raise ValueError(f"line {reader.line_num} has {len(row)} fields, expected {dim + 2}")
+                    feats.append([float(v) for v in row[:dim]])
+                    labels.append(int(row[dim]) if row[dim] != "" else NO_LABEL)
+                    domain.append(row[dim + 1])
+            features = np.asarray(feats, dtype=float).reshape(len(feats), dim)
+            return cls(features, np.asarray(labels, dtype=int), np.asarray(domain))
+        except (ValueError, csv.Error) as exc:
+            raise MalformedData(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ Index conventions used by the Gaussian-head math, with u_i = z - m_i:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,10 +228,11 @@ def gaussian_backward(params: GaussianHeadParams, z: np.ndarray, upstream: np.nd
     return HeadGradients(d_input=d_z[0], d_params=(d_means, d_tri))
 
 
-def ice_confidence(h: np.ndarray) -> float:
-    """exp(max_i h_i), a detection confidence in (0, 1] for Gaussian-head scores.
+def ice_confidence(h: np.ndarray) -> np.ndarray:
+    """exp(max_i h_i) over the last axis: a detection confidence in (0, 1] per row.
 
-    Scores far below zero underflow to exactly 0.0, which is the documented
+    ``h`` is (B, K) Gaussian-head scores, or one (K,) row for a scalar. Scores
+    far below zero underflow to exactly 0.0, which is the documented
     floating-point limit of the (0, 1] range.
 
     Raises:
@@ -241,4 +241,4 @@ def ice_confidence(h: np.ndarray) -> float:
     h = np.asarray(h, dtype=float)
     if np.any(h > 0):
         raise InvalidScore("confidence needs non-positive scores")
-    return math.exp(float(h.max()))
+    return np.exp(h.max(axis=-1))

@@ -173,15 +173,14 @@ def run_shift_sim(
     head_source: GdaModel,
     steps: int,
     lr: float,
-    seed: int = 0,
     zeta: float | None = None,
 ) -> ShiftTrajectory:
     """Descend every feature on its own criterion branch under a frozen head.
 
     The head is pinned to the fitted model (closed-form linear scores, or the
     Gaussian head at the model's means and factor). Updates are simultaneous
-    full-batch gradient steps, so the trajectory is deterministic regardless
-    of ``seed``; the argument is kept for interface symmetry with the trainer.
+    full-batch gradient steps, so the trajectory is deterministic and draws
+    no randomness.
 
     Raises:
         NonFiniteState: when any feature stops being finite, which the
@@ -191,7 +190,6 @@ def run_shift_sim(
         raise ValueError("steps must be >= 1")
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    del seed
     if zeta is None:
         zeta = 0.5 * density_max(bank.dim)
     head = _frozen_head(criterion, head_source)
@@ -211,12 +209,9 @@ def run_shift_sim(
                 scores = heads.gaussian_forward_batch(head, feats)
             else:
                 scores = heads.linear_forward_batch(head, feats)
-            upstream = np.zeros_like(scores)
-            for row in range(feats.shape[0]):
-                if in_mask[row]:
-                    upstream[row] = criteria.id_loss(criterion, scores[row], int(labels[row])).d_scores
-                else:
-                    upstream[row] = criteria.ood_loss(criterion, scores[row]).d_scores
+            upstream = np.empty_like(scores)
+            upstream[in_mask] = criteria.id_loss(criterion, scores[in_mask], labels[in_mask]).d_scores
+            upstream[~in_mask] = criteria.ood_loss(criterion, scores[~in_mask]).d_scores
             if gaussian:
                 d_feats, _, _ = heads.gaussian_backward_batch(head, feats, upstream)
             else:

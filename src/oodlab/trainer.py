@@ -43,6 +43,14 @@ class IncompatibleScorer(ValueError):
     """The requested scorer cannot be computed on this head kind."""
 
 
+class DegenerateData(ValueError):
+    """The training or eval sets cannot support the configured run."""
+
+
+class MalformedCheckpoint(ValueError):
+    """A checkpoint file is truncated or holds values that do not parse."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     criterion: criteria.CriterionConfig
@@ -66,6 +74,8 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.epochs < 1 or self.batch_in < 1 or self.batch_out < 1:
             raise ValueError("epochs and batch sizes must be >= 1")
+        if self.feature_dim < 1 or any(width < 1 for width in self.hidden):
+            raise ValueError("feature_dim and hidden widths must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.initial_lr <= 0:
@@ -181,7 +191,7 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
     """Seeded backbone and head; Gaussian means start at the class feature means."""
     n_classes = int(train_in.labels.max()) + 1
     if n_classes < 2:
-        raise ValueError("need at least two classes")
+        raise DegenerateData("need at least two classes")
     widths = (train_in.dim,) + tuple(config.hidden) + (config.feature_dim,)
     net = bb.init_mlp(widths, component_rng(config.seed, "backbone_init"))
     head_kind = resolve_head_kind(config.head, config.criterion)
@@ -192,7 +202,7 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
         for k in range(n_classes):
             rows = feats[train_in.labels == k]
             if rows.shape[0] == 0:
-                raise ValueError(f"class {k} has no training samples")
+                raise DegenerateData(f"class {k} has no training samples")
             class_means[k] = rows.mean(axis=0)
         head = heads.init_gaussian_head(config.feature_dim, n_classes, class_means=class_means)
     else:
@@ -225,13 +235,10 @@ def score_samples(model: Model, x: np.ndarray, scorer: str) -> np.ndarray:
     if scorer == "max_logit":
         return scores.max(axis=1)
     if scorer == "ice_conf":
-        return np.array([heads.ice_confidence(row) for row in scores])
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    if scorer == "msp":
-        expd = np.exp(shifted)
-        return (expd / expd.sum(axis=1, keepdims=True)).max(axis=1)
-    # energy_score: stable row-wise logsumexp
-    return scores.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
+        return heads.ice_confidence(scores)
+    # msp is the largest softmax mass, energy_score the logsumexp
+    rep = criteria.energy(scores)
+    return rep.d_scores.max(axis=1) if scorer == "msp" else rep.value
 
 
 def accuracy(model: Model, data: LabeledSet) -> float:
@@ -283,20 +290,11 @@ def batch_gradients(
     with np.errstate(over="ignore", invalid="ignore"):
         feats, cache = bb.forward_batch(model.backbone, x)
         scores = head_scores_batch(model, feats)
-        upstream = np.zeros_like(scores)
-        loss_in = 0.0
-        for row in range(n_in):
-            rep = criteria.id_loss(criterion, scores[row], int(in_y[row]), weight)
-            loss_in += rep.value
-            upstream[row] = rep.d_scores / n_in
-        loss_out = 0.0
-        for row in range(n_in, n_in + n_out):
-            rep = criteria.ood_loss(criterion, scores[row], weight)
-            loss_out += rep.value
-            upstream[row] = rep.d_scores / n_out
-        loss_in /= n_in
-        if n_out:
-            loss_out /= n_out
+        in_rep = criteria.id_loss(criterion, scores[:n_in], in_y, weight)
+        out_rep = criteria.ood_loss(criterion, scores[n_in:], weight)
+        upstream = np.concatenate([in_rep.d_scores / n_in, out_rep.d_scores / max(n_out, 1)])
+        loss_in = float(in_rep.value.mean())
+        loss_out = float(out_rep.value.mean()) if n_out else 0.0
 
         grads: dict[str, np.ndarray] = {}
         if model.head_kind == "linear":
@@ -312,18 +310,6 @@ def batch_gradients(
             grads[f"backbone.{i}.weight"] = d_weight
             grads[f"backbone.{i}.bias"] = d_bias
     return loss_in, loss_out, grads
-
-
-def batch_loss(
-    model: Model,
-    criterion: criteria.CriterionConfig,
-    weight: float,
-    in_x: np.ndarray,
-    in_y: np.ndarray,
-    out_x: np.ndarray,
-) -> float:
-    loss_in, loss_out, _ = batch_gradients(model, criterion, weight, in_x, in_y, out_x)
-    return loss_in + loss_out
 
 
 class _OutlierCycler:
@@ -411,14 +397,14 @@ def train(
             objective at large gamma).
     """
     if len(train_in) == 0 or len(eval_in) == 0 or len(eval_out) == 0:
-        raise ValueError("training and eval sets must be nonempty")
+        raise DegenerateData("training and eval sets must be nonempty")
     weight = config.outlier_weight
     # A zero effective weight removes every outlier term from the objective,
     # so the outlier loader is skipped entirely; this makes zero-weight runs
     # match plain training step for step.
     use_out = config.criterion.kind != "plain" and weight > 0.0
     if use_out and len(train_out) == 0:
-        raise ValueError(f"criterion {config.criterion.kind!r} needs outlier training data")
+        raise DegenerateData(f"criterion {config.criterion.kind!r} needs outlier training data")
     head_kind = resolve_head_kind(config.head, config.criterion)
     scorer = resolve_scorer(config.scorer, head_kind, config.criterion)
     model = build_model(config, train_in)
@@ -492,14 +478,27 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    entries: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            entries[key] = value
+    """Rebuild a model from ``save_checkpoint`` output.
+
+    Raises:
+        MalformedCheckpoint: the file is truncated (every line of a complete
+            file ends in a newline), lacks an entry, or holds a value that
+            does not parse or is not finite.
+        OSError: the file cannot be read.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if not text.endswith("\n"):
+            raise ValueError("truncated: no final newline")
+        return _model_from_entries(dict(line.partition("=")[::2] for line in text.splitlines() if line))
+    except KeyError as exc:
+        raise MalformedCheckpoint(f"checkpoint {path} has no {exc} entry") from exc
+    except ValueError as exc:
+        raise MalformedCheckpoint(f"checkpoint {path}: {exc}") from exc
+
+
+def _model_from_entries(entries: dict[str, str]) -> Model:
     if entries.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {entries.get('schema')!r}")
     head_kind = entries["head.kind"]
@@ -512,6 +511,8 @@ def load_checkpoint(path) -> Model:
         values = np.array([float(v) for v in raw], dtype=float)
         if values.size != int(np.prod(shape)):
             raise ValueError(f"checkpoint tensor {key} has {values.size} values, expected {shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"checkpoint tensor {key} is not finite")
         return values.reshape(shape)
 
     layers = []

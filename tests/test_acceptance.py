@@ -97,6 +97,18 @@ def _margin_h(rng, k):
             return h
 
 
+ENERGY = criteria.CriterionConfig("energy")
+ICE = criteria.CriterionConfig("ice")
+
+
+def objective(config, in_scores, y, out_scores, lam):
+    """Both branches of ``config`` summed: sce plus lam times the criterion's outlier terms."""
+    return (
+        criteria.id_loss(config, in_scores, y, weight=lam).value
+        + criteria.ood_loss(config, out_scores, weight=lam).value
+    )
+
+
 class TestCriterion1GradientAudit:
     def test_criteria_gradients(self):
         rng = np.random.default_rng(20260801)
@@ -116,25 +128,25 @@ class TestCriterion1GradientAudit:
                 (criteria.oe_uniform(scores).d_scores, lambda s: criteria.oe_uniform(s).value, scores),
                 (criteria.energy(scores).d_scores, lambda s: criteria.energy(s).value, scores),
                 (
-                    criteria.energy_objective(scores, y, out_scores, lam).in_branch.d_scores,
-                    lambda s: criteria.energy_objective(s, y, out_scores, lam).total,
+                    criteria.id_loss(ENERGY, scores, y, weight=lam).d_scores,
+                    lambda s: objective(ENERGY, s, y, out_scores, lam),
                     scores,
                 ),
                 (
-                    criteria.energy_objective(scores, y, out_scores, lam).out_branch.d_scores,
-                    lambda s: criteria.energy_objective(scores, y, s, lam).total,
+                    criteria.ood_loss(ENERGY, out_scores, weight=lam).d_scores,
+                    lambda s: objective(ENERGY, scores, y, s, lam),
                     out_scores,
                 ),
                 (criteria.ice_id(h_in, y).d_scores, lambda s: criteria.ice_id(s, y).value, h_in),
                 (criteria.ice_ood(h_out).d_scores, lambda s: criteria.ice_ood(s).value, h_out),
                 (
-                    criteria.ice_objective(h_in, y, h_out, lam).in_branch.d_scores,
-                    lambda s: criteria.ice_objective(s, y, h_out, lam).total,
+                    criteria.id_loss(ICE, h_in, y, weight=lam).d_scores,
+                    lambda s: objective(ICE, s, y, h_out, lam),
                     h_in,
                 ),
                 (
-                    criteria.ice_objective(h_in, y, h_out, lam).out_branch.d_scores,
-                    lambda s: criteria.ice_objective(h_in, y, s, lam).total,
+                    criteria.ood_loss(ICE, h_out, weight=lam).d_scores,
+                    lambda s: objective(ICE, h_in, y, s, lam),
                     h_out,
                 ),
                 (

@@ -124,6 +124,61 @@ class TestConfigValidation:
         assert trees1 == trees2
 
 
+class TestDegenerateConfigs:
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("train", {"model": {"feature_dim": "0"}}),
+            ("train", {"model": {"hidden": "0"}}),
+            ("train", {"data": {"hard_clusters": "0"}}),
+            ("train", {"data": {"hard_std": "0"}}),
+            ("simulate-shift", {"shift": {"n_in": "0"}}),
+            ("simulate-shift", {"shift": {"n_out": "0"}}),
+            ("train", {"data": {"n": "6"}}),
+        ],
+        ids=["feature_dim", "hidden", "hard_clusters", "hard_std", "shift_n_in", "shift_n_out", "no_outliers"],
+    )
+    def test_rejected_with_config_error(self, tmp_path, capsys, command, overrides):
+        cfg = write_ini(tmp_path / "c.ini", overrides)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
+class TestMalformedInputFiles:
+    def test_truncated_checkpoint_is_io_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}})
+        train_out = tmp_path / "train"
+        assert cli.main(["train", "--config", cfg, "--out", str(train_out)]) == 0
+        text = (train_out / "checkpoint.txt").read_text()
+        for cut in (len(text) // 3, len(text) // 2 + 7, len(text) - 10):
+            ckpt = tmp_path / f"cut{cut}.txt"
+            ckpt.write_text(text[:cut])
+            code = cli.main(
+                ["export-features", "--config", cfg, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)]
+            )
+            assert code == 4
+            assert capsys.readouterr().err.startswith("io error:")
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda v: "nan", lambda v: "inf", lambda v: "1.5x", lambda v: v + ",extra"],
+        ids=["nan", "inf", "unparsable", "extra_field"],
+    )
+    def test_malformed_data_csv_is_io_error(self, tmp_path, capsys, mangle):
+        cfg = write_ini(tmp_path / "c.ini")
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(data_dir)]) == 0
+        path = data_dir / "train_in.csv"
+        lines = path.read_text().splitlines()
+        first, rest = lines[1].split(",", 1)
+        lines[1] = mangle(first) + "," + rest
+        path.write_text("\n".join(lines) + "\n")
+        cfg2 = write_ini(tmp_path / "c2.ini", {"data": {"data_dir": str(data_dir)}})
+        assert cli.main(["train", "--config", cfg2, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith("io error:")
+
+
 class TestDemoFalseLikelihood:
     def test_pair_found_and_machine_checkable(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", {"data": {"n": "400"}})

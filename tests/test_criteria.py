@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oodlab import criteria
@@ -12,6 +12,19 @@ from oracles import central_difference, max_rel_error
 finite_scores = st.lists(
     st.floats(min_value=-20.0, max_value=20.0, allow_nan=False), min_size=2, max_size=6
 ).map(lambda xs: np.asarray(xs))
+
+
+ENERGY = criteria.CriterionConfig("energy")
+ICE = criteria.CriterionConfig("ice")
+ICE_MINUS = criteria.CriterionConfig("ice_minus")
+
+
+def objective(config, in_scores, y, out_scores, lam):
+    """Total of both branches of ``config`` for one in-sample and one outlier."""
+    return (
+        criteria.id_loss(config, in_scores, y, weight=lam).value
+        + criteria.ood_loss(config, out_scores, weight=lam).value
+    )
 
 
 def fd_check(loss_fn, scores, tol=1e-6):
@@ -110,19 +123,22 @@ class TestEnergy:
 
 
 class TestEnergyObjective:
+    """sce on the in-sample plus lam * (-energy(in) + energy(out)), through the branch dispatchers."""
+
     def test_lambda_zero_reduces_to_sce(self):
         rng = np.random.default_rng(4)
         in_scores = rng.standard_normal(3)
         out_scores = rng.standard_normal(3)
-        rep = criteria.energy_objective(in_scores, 1, out_scores, lam=0.0)
+        in_rep = criteria.id_loss(ENERGY, in_scores, 1, weight=0.0)
+        out_rep = criteria.ood_loss(ENERGY, out_scores, weight=0.0)
         sce_rep = criteria.sce(in_scores, 1)
-        assert rep.total == pytest.approx(sce_rep.value)
-        np.testing.assert_allclose(rep.in_branch.d_scores, sce_rep.d_scores)
-        np.testing.assert_allclose(rep.out_branch.d_scores, np.zeros(3))
+        assert in_rep.value + out_rep.value == pytest.approx(sce_rep.value)
+        np.testing.assert_allclose(in_rep.d_scores, sce_rep.d_scores)
+        np.testing.assert_allclose(out_rep.d_scores, np.zeros(3))
 
     def test_in_branch_combination(self):
-        rep = criteria.energy_objective(np.zeros(2), 0, np.zeros(2), lam=0.1)
-        np.testing.assert_allclose(rep.in_branch.d_scores, [-0.5 - 0.05, 0.5 - 0.05])
+        rep = criteria.id_loss(ENERGY, np.zeros(2), 0, weight=0.1)
+        np.testing.assert_allclose(rep.d_scores, [-0.5 - 0.05, 0.5 - 0.05])
 
     def test_energy_id_branch_strictly_negative(self):
         rng = np.random.default_rng(5)
@@ -140,16 +156,10 @@ class TestEnergyObjective:
         out_scores = 2.0 * rng.standard_normal(k)
         y = int(rng.integers(k))
         lam = float(rng.uniform(0.05, 1.0))
-        rep = criteria.energy_objective(in_scores, y, out_scores, lam)
-
-        fd_in = central_difference(
-            lambda s: criteria.energy_objective(s, y, out_scores, lam).total, in_scores
-        )
-        fd_out = central_difference(
-            lambda s: criteria.energy_objective(in_scores, y, s, lam).total, out_scores
-        )
-        assert max_rel_error(rep.in_branch.d_scores, fd_in) < 1e-6
-        assert max_rel_error(rep.out_branch.d_scores, fd_out) < 1e-6
+        fd_in = central_difference(lambda s: objective(ENERGY, s, y, out_scores, lam), in_scores)
+        fd_out = central_difference(lambda s: objective(ENERGY, in_scores, y, s, lam), out_scores)
+        assert max_rel_error(criteria.id_loss(ENERGY, in_scores, y, weight=lam).d_scores, fd_in) < 1e-6
+        assert max_rel_error(criteria.ood_loss(ENERGY, out_scores, weight=lam).d_scores, fd_out) < 1e-6
 
 
 class TestIceId:
@@ -211,26 +221,28 @@ class TestIceOod:
 
 
 class TestIceObjective:
+    """sce on the in-sample plus lam * (ice_id(in) + ice_ood(out)); ice_minus drops ice_id."""
+
     def test_lambda_zero_reduces_to_sce(self):
         h_in = np.array([-0.5, -4.0])
         h_out = np.array([-1.0, -2.0])
-        rep = criteria.ice_objective(h_in, 0, h_out, lam=0.0)
-        assert rep.total == pytest.approx(criteria.sce(h_in, 0).value)
+        assert objective(ICE, h_in, 0, h_out, 0.0) == pytest.approx(criteria.sce(h_in, 0).value)
 
     def test_composition_example(self):
         h_in = np.array([0.0, -4.0])
         h_out = np.array([-1.0, -9.0])
-        rep = criteria.ice_objective(h_in, 0, h_out, lam=1.0)
         expected = criteria.sce(h_in, 0).value + 0.0 + (-math.log(1.0 - math.exp(-1.0)))
-        assert rep.total == pytest.approx(expected)
+        assert objective(ICE, h_in, 0, h_out, 1.0) == pytest.approx(expected)
 
     def test_ice_minus_drops_id_term(self):
         h_in = np.array([-2.0, -4.0])
         h_out = np.array([-1.0, -9.0])
-        full = criteria.ice_objective(h_in, 0, h_out, lam=1.0)
-        minus = criteria.ice_objective(h_in, 0, h_out, lam=1.0, include_id=False)
-        assert full.total - minus.total == pytest.approx(2.0)  # the dropped -h_y term
-        np.testing.assert_allclose(minus.in_branch.d_scores, criteria.sce(h_in, 0).d_scores)
+        full = objective(ICE, h_in, 0, h_out, 1.0)
+        minus = objective(ICE_MINUS, h_in, 0, h_out, 1.0)
+        assert full - minus == pytest.approx(2.0)  # the dropped -h_y term
+        np.testing.assert_allclose(
+            criteria.id_loss(ICE_MINUS, h_in, 0, weight=1.0).d_scores, criteria.sce(h_in, 0).d_scores
+        )
 
     def test_lambda_branch_touches_only_ground_truth(self):
         rng = np.random.default_rng(7)
@@ -250,11 +262,10 @@ class TestIceObjective:
         h_out = -rng.uniform(0.2, 6.0, size=k)
         y = int(rng.integers(k))
         lam = float(rng.uniform(0.1, 2.0))
-        rep = criteria.ice_objective(h_in, y, h_out, lam)
-        fd_in = central_difference(lambda s: criteria.ice_objective(s, y, h_out, lam).total, h_in)
-        fd_out = central_difference(lambda s: criteria.ice_objective(h_in, y, s, lam).total, h_out)
-        assert max_rel_error(rep.in_branch.d_scores, fd_in) < 1e-6
-        assert max_rel_error(rep.out_branch.d_scores, fd_out) < 1e-6
+        fd_in = central_difference(lambda s: objective(ICE, s, y, h_out, lam), h_in)
+        fd_out = central_difference(lambda s: objective(ICE, h_in, y, s, lam), h_out)
+        assert max_rel_error(criteria.id_loss(ICE, h_in, y, weight=lam).d_scores, fd_in) < 1e-6
+        assert max_rel_error(criteria.ood_loss(ICE, h_out, weight=lam).d_scores, fd_out) < 1e-6
 
 
 class TestBceOutlier:
@@ -302,18 +313,23 @@ class TestDispatch:
         h_out = -rng.uniform(0.2, 5.0, size=k)
 
         cfg = criteria.CriterionConfig("energy", lam=0.3)
-        rep = criteria.energy_objective(scores_in, 1, scores_out, 0.3)
-        np.testing.assert_allclose(criteria.id_loss(cfg, scores_in, 1).d_scores, rep.in_branch.d_scores)
-        np.testing.assert_allclose(criteria.ood_loss(cfg, scores_out).d_scores, rep.out_branch.d_scores)
+        np.testing.assert_allclose(
+            criteria.id_loss(cfg, scores_in, 1).d_scores,
+            criteria.sce(scores_in, 1).d_scores - 0.3 * criteria.energy(scores_in).d_scores,
+        )
+        np.testing.assert_allclose(
+            criteria.ood_loss(cfg, scores_out).d_scores, 0.3 * criteria.energy(scores_out).d_scores
+        )
 
         cfg = criteria.CriterionConfig("ice", lam=0.7)
-        rep = criteria.ice_objective(h_in, 2, h_out, 0.7)
-        np.testing.assert_allclose(criteria.id_loss(cfg, h_in, 2).d_scores, rep.in_branch.d_scores)
-        np.testing.assert_allclose(criteria.ood_loss(cfg, h_out).d_scores, rep.out_branch.d_scores)
+        np.testing.assert_allclose(
+            criteria.id_loss(cfg, h_in, 2).d_scores,
+            criteria.sce(h_in, 2).d_scores + 0.7 * criteria.ice_id(h_in, 2).d_scores,
+        )
+        np.testing.assert_allclose(criteria.ood_loss(cfg, h_out).d_scores, 0.7 * criteria.ice_ood(h_out).d_scores)
 
         cfg = criteria.CriterionConfig("ice_minus", lam=0.7)
-        rep = criteria.ice_objective(h_in, 2, h_out, 0.7, include_id=False)
-        np.testing.assert_allclose(criteria.id_loss(cfg, h_in, 2).d_scores, rep.in_branch.d_scores)
+        np.testing.assert_allclose(criteria.id_loss(cfg, h_in, 2).d_scores, criteria.sce(h_in, 2).d_scores)
 
         cfg = criteria.CriterionConfig("oe")
         np.testing.assert_allclose(
@@ -339,3 +355,69 @@ class TestDispatch:
         h = np.array([-1.0, -2.0])
         scaled = criteria.ood_loss(cfg, h, weight=2.5)
         assert scaled.value == pytest.approx(2.5 * criteria.ice_ood(h).value)
+
+
+GAUSSIAN_KINDS = ("ice", "ice_minus")
+
+
+@st.composite
+def score_batches(draw):
+    """(B, K) non-positive scores with labels; some rows sit in the ICE clamp regime."""
+    b = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 5))
+    row = st.lists(st.floats(-20.0, 0.0), min_size=k, max_size=k)
+    h = np.array(draw(st.lists(row, min_size=b, max_size=b)))
+    for i, top in enumerate(draw(st.lists(st.none() | st.floats(-1e-13, 0.0), min_size=b, max_size=b))):
+        if top is not None:
+            h[i, int(np.argmax(h[i]))] = top
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b)))
+    return h, labels
+
+
+def assert_batch_equals_rows(batch, rows):
+    np.testing.assert_allclose(batch.value, np.array([r.value for r in rows]), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(batch.d_scores, np.stack([r.d_scores for r in rows]), rtol=1e-12, atol=1e-12)
+
+
+class TestBatchEqualsRows:
+    """id_loss/ood_loss on a (B, K) batch equal the stack of their per-row calls."""
+
+    @pytest.mark.parametrize("kind", criteria.KINDS)
+    @given(score_batches(), st.floats(0.0, 2.0))
+    @example((np.array([[-1.5, -0.2]]), np.array([1])), 0.5)  # B = 1
+    @example((np.array([[-0.1, -3.0, -2.0], [-4.0, -0.3, -1.0], [-2.0, -5.0, -0.7]]), np.array([2, 0, 1])), 1.0)
+    @example((np.array([[-1e-13, -2.0], [-3.0, 0.0], [-0.5, -6e-14]]), np.array([0, 1, 0])), 1.0)  # clamp rows
+    @settings(max_examples=40, deadline=None)
+    def test_both_branches(self, kind, batch, weight):
+        h, labels = batch
+        cfg = criteria.CriterionConfig(kind)
+        # linear-head kinds take scores of either sign; shifting keeps the clamp rows distinct
+        scores = h if kind in GAUSSIAN_KINDS else h + np.linspace(0.0, 3.0, h.shape[1])
+        assert_batch_equals_rows(
+            criteria.id_loss(cfg, scores, labels, weight),
+            [criteria.id_loss(cfg, row, int(y), weight) for row, y in zip(scores, labels)],
+        )
+        assert_batch_equals_rows(
+            criteria.ood_loss(cfg, scores, weight), [criteria.ood_loss(cfg, row, weight) for row in scores]
+        )
+
+    @pytest.mark.parametrize("kind", GAUSSIAN_KINDS)
+    def test_one_positive_row_rejects_the_batch(self, kind):
+        h = -np.arange(1.0, 13.0).reshape(4, 3)
+        h[2, 1] = 1e-9
+        cfg = criteria.CriterionConfig(kind)
+        with pytest.raises(InvalidScore):
+            criteria.id_loss(cfg, h, np.zeros(4, dtype=int))
+        with pytest.raises(InvalidScore):
+            criteria.ood_loss(cfg, h)
+
+    def test_clamp_floor_in_batch(self):
+        h = np.array([[0.0, -9.0], [-1e-13, -1.0], [-1.0, -9.0]])
+        rep = criteria.ice_ood(h)
+        np.testing.assert_allclose(rep.value[:2], -math.log(criteria.ICE_OOD_EPS))
+        np.testing.assert_allclose(rep.d_scores[:2, 0], np.exp(h[:2, 0]) / criteria.ICE_OOD_EPS)
+        assert rep.value[2] == pytest.approx(-math.log(1.0 - math.exp(-1.0)))
+
+    def test_label_out_of_range_in_batch(self):
+        with pytest.raises(ValueError):
+            criteria.sce(np.zeros((3, 2)), np.array([0, 2, 1]))

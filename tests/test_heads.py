@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oodlab import gda, heads
 from oracles import central_difference, max_rel_error
@@ -186,6 +188,25 @@ class TestIceConfidence:
 
     def test_one_iff_zero_score(self):
         assert heads.ice_confidence(np.array([-0.001, -3.0])) < 1.0
+
+    @given(
+        st.lists(st.lists(st.floats(-1000.0, 0.0), min_size=3, max_size=3), min_size=1, max_size=6)
+    )
+    @example([[-1000.0, -1000.0, -1000.0]])  # a row that underflows to exactly 0.0
+    @example([[-0.5, -2.0, 0.0], [-1000.0, -800.0, -900.0], [-3.0, -1e-13, -4.0]])
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_rows(self, rows):
+        h = np.array(rows)
+        batch = heads.ice_confidence(h)
+        assert batch.shape == (h.shape[0],)
+        np.testing.assert_allclose(batch, [heads.ice_confidence(row) for row in h], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(batch[h.max(axis=1) < -746.0], 0.0)  # exp underflow
+
+    def test_one_positive_row_rejects_the_batch(self):
+        h = -np.ones((3, 2))
+        h[1, 0] = 0.25
+        with pytest.raises(heads.InvalidScore):
+            heads.ice_confidence(h)
 
 
 class TestFactorRoundTrip:

@@ -194,16 +194,17 @@ class TestGradientAudit:
             data = gda.LabeledSet(in_x, in_y, np.array(["in"] * 5))
             model = trainer.build_model(cfg, data)
             weight = cfg.outlier_weight
-            _, _, grads = trainer.batch_gradients(model, cfg.criterion, weight, in_x, in_y, out_x)
+            args = (model, cfg.criterion, weight, in_x, in_y, out_x)
+            _, _, grads = trainer.batch_gradients(*args)
             analytic, numeric = [], []
             flat = [(name, arr, i) for name, arr in trainer.param_items(model) for i in range(arr.size)]
             for pick in rng.choice(len(flat), size=50, replace=False):
                 name, arr, i = flat[pick]
                 orig = arr.flat[i]
                 arr.flat[i] = orig + 1e-5
-                up = trainer.batch_loss(model, cfg.criterion, weight, in_x, in_y, out_x)
+                up = sum(trainer.batch_gradients(*args)[:2])  # loss_in + loss_out
                 arr.flat[i] = orig - 1e-5
-                down = trainer.batch_loss(model, cfg.criterion, weight, in_x, in_y, out_x)
+                down = sum(trainer.batch_gradients(*args)[:2])
                 arr.flat[i] = orig
                 analytic.append(grads[name].flat[i])
                 numeric.append((up - down) / 2e-5)
