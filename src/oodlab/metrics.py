@@ -1,8 +1,10 @@
 """Detector evaluation metrics: AUROC, AUPR, FPR at a TPR target, histograms.
 
-Scores follow the convention "higher means more in-distribution". The fast
-implementations here are sort-based; their O(n^2) pairwise and exhaustive
-threshold-sweep twins live in the test suite and must agree to 1e-12.
+Every metric takes two float arrays, the in-distribution scores and the
+out-of-distribution scores, following the convention "higher means more
+in-distribution". The fast implementations here are sort-based; their O(n^2)
+pairwise and exhaustive threshold-sweep twins live in the test suite and must
+agree to 1e-12.
 
 Conventions pinned here because they change the numbers:
   - AUROC counts ties between the domains as one half.
@@ -15,9 +17,8 @@ Conventions pinned here because they change the numbers:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,19 +26,7 @@ from .gda import DOMAIN_IN, DOMAIN_OUT
 
 
 class MissingDomain(ValueError):
-    """The records do not contain at least one score per domain."""
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    score: float
-    domain: str  # "in" or "out"
-
-    def __post_init__(self) -> None:
-        if self.domain not in (DOMAIN_IN, DOMAIN_OUT):
-            raise ValueError(f"domain must be 'in' or 'out', got {self.domain!r}")
-        if not np.isfinite(self.score):
-            raise ValueError("score must be finite")
+    """One of the two score arrays is empty."""
 
 
 @dataclass(frozen=True)
@@ -56,49 +45,44 @@ class Histogram:
     edges: np.ndarray
 
 
-def _split_scores(records: Iterable[ScoreRecord]) -> tuple[np.ndarray, np.ndarray]:
-    in_scores = []
-    out_scores = []
-    for rec in records:
-        (in_scores if rec.domain == DOMAIN_IN else out_scores).append(rec.score)
-    if not in_scores or not out_scores:
-        raise MissingDomain("need at least one record per domain")
-    return np.asarray(in_scores, dtype=float), np.asarray(out_scores, dtype=float)
-
-
-def records_from_arrays(scores: Sequence[float], domains: Sequence[str]) -> list[ScoreRecord]:
-    return [ScoreRecord(float(s), str(d)) for s, d in zip(scores, domains, strict=True)]
+def _score_arrays(s_in: Sequence[float], s_out: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both domains' scores as 1-D float arrays, each nonempty and finite."""
+    s_in = np.asarray(s_in, dtype=float)
+    s_out = np.asarray(s_out, dtype=float)
+    if s_in.ndim != 1 or s_out.ndim != 1:
+        raise ValueError("scores must be 1-D arrays")
+    if s_in.size == 0 or s_out.size == 0:
+        raise MissingDomain("need at least one score per domain")
+    if not (np.all(np.isfinite(s_in)) and np.all(np.isfinite(s_out))):
+        raise ValueError("scores must be finite")
+    return s_in, s_out
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the mean rank of their group."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties replaced by the mean rank of their group.
+
+    A group of ``count`` tied values ending at 1-based rank ``end`` has mean
+    rank ``end - (count - 1) / 2``, an exact half-integer.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[group]
 
 
-def auroc(records: Iterable[ScoreRecord]) -> float:
+def auroc(s_in: Sequence[float], s_out: Sequence[float]) -> float:
     """Probability an in-score outranks an out-score, ties counting one half."""
-    in_scores, out_scores = _split_scores(records)
+    in_scores, out_scores = _score_arrays(s_in, s_out)
     ranks = _average_ranks(np.concatenate([in_scores, out_scores]))
     n_in, n_out = len(in_scores), len(out_scores)
     rank_sum = float(ranks[:n_in].sum())
     return (rank_sum - n_in * (n_in + 1) / 2.0) / (n_in * n_out)
 
 
-def aupr(records: Iterable[ScoreRecord], positive: str = DOMAIN_OUT) -> float:
+def aupr(s_in: Sequence[float], s_out: Sequence[float], positive: str = DOMAIN_OUT) -> float:
     """Step-wise area under the precision-recall curve for the chosen positive class."""
     if positive not in (DOMAIN_IN, DOMAIN_OUT):
         raise ValueError(f"positive must be 'in' or 'out', got {positive!r}")
-    in_scores, out_scores = _split_scores(records)
+    in_scores, out_scores = _score_arrays(s_in, s_out)
     if positive == DOMAIN_IN:
         pos, neg = in_scores, out_scores
     else:
@@ -119,11 +103,11 @@ def aupr(records: Iterable[ScoreRecord], positive: str = DOMAIN_OUT) -> float:
     return float((recall_steps * precision).sum())
 
 
-def fpr_at_tpr(records: Iterable[ScoreRecord], tpr_target: float = 0.95) -> float:
+def fpr_at_tpr(s_in: Sequence[float], s_out: Sequence[float], tpr_target: float = 0.95) -> float:
     """False-positive rate at the threshold where in-recall first reaches the target."""
     if not 0.0 <= tpr_target <= 1.0:
         raise ValueError("tpr_target must be in [0, 1]")
-    in_scores, out_scores = _split_scores(records)
+    in_scores, out_scores = _score_arrays(s_in, s_out)
     n_in = len(in_scores)
     k = int(np.ceil(tpr_target * n_in))
     while k > 0 and (k - 1) / n_in >= tpr_target:
@@ -137,13 +121,13 @@ def fpr_at_tpr(records: Iterable[ScoreRecord], tpr_target: float = 0.95) -> floa
 
 
 def compute_report(
-    records: Sequence[ScoreRecord], aupr_positive: str = DOMAIN_OUT, tpr_target: float = 0.95
+    s_in: Sequence[float], s_out: Sequence[float], aupr_positive: str = DOMAIN_OUT, tpr_target: float = 0.95
 ) -> MetricsReport:
-    in_scores, out_scores = _split_scores(records)
+    in_scores, out_scores = _score_arrays(s_in, s_out)
     return MetricsReport(
-        auroc=auroc(records),
-        aupr=aupr(records, positive=aupr_positive),
-        fpr95=fpr_at_tpr(records, tpr_target=tpr_target),
+        auroc=auroc(in_scores, out_scores),
+        aupr=aupr(in_scores, out_scores, positive=aupr_positive),
+        fpr95=fpr_at_tpr(in_scores, out_scores, tpr_target=tpr_target),
         n_in=len(in_scores),
         n_out=len(out_scores),
     )
@@ -169,20 +153,3 @@ def histogram(scores: Sequence[float], bins: int, value_range: tuple[float, floa
         np.add.at(counts, idx, 1)
     edges = np.linspace(lo, hi, bins + 1)
     return Histogram(counts=counts, clamped=clamped, edges=edges)
-
-
-def records_to_csv(records: Iterable[ScoreRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "domain"])
-        for rec in records:
-            writer.writerow([repr(rec.score), rec.domain])
-
-
-def records_from_csv(path) -> list[ScoreRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["score", "domain"]:
-            raise ValueError(f"unexpected ScoreRecord header in {path}: {header}")
-        return [ScoreRecord(float(score), domain) for score, domain in reader]

@@ -2,9 +2,10 @@
 
 Each step draws a batch of in-distribution samples and an independent batch of
 outliers (the dual-loader protocol), forms the criterion's two branches, and
-applies one momentum-SGD update to every parameter. Evaluation runs per epoch
-and logs detector metrics plus a confidence (Gaussian-head methods) or
-max-logit (linear heads) histogram.
+applies one momentum-SGD update to every parameter. Evaluation runs per epoch:
+it forwards each eval set once and reads accuracy, the detector metrics and a
+confidence (Gaussian-head methods) or max-logit (linear heads) histogram from
+those scores.
 
 The effective outlier weight is lambda * gamma: gamma rescales a criterion's
 default balance weight for sweep experiments without touching the criterion
@@ -231,7 +232,11 @@ def score_samples(model: Model, x: np.ndarray, scorer: str) -> np.ndarray:
         raise IncompatibleScorer(f"unknown scorer {scorer!r}")
     if scorer == "ice_conf" and model.head_kind != "gaussian":
         raise IncompatibleScorer("ice_conf needs the gaussian head")
-    scores = scores_batch(model, x)
+    return _scorer_values(scores_batch(model, x), scorer)
+
+
+def _scorer_values(scores: np.ndarray, scorer: str) -> np.ndarray:
+    """One ``scorer`` value per row of ``(N, K)`` head scores."""
     if scorer == "max_logit":
         return scores.max(axis=1)
     if scorer == "ice_conf":
@@ -239,11 +244,6 @@ def score_samples(model: Model, x: np.ndarray, scorer: str) -> np.ndarray:
     # msp is the largest softmax mass, energy_score the logsumexp
     rep = criteria.energy(scores)
     return rep.d_scores.max(axis=1) if scorer == "msp" else rep.value
-
-
-def accuracy(model: Model, data: LabeledSet) -> float:
-    preds = scores_batch(model, data.features).argmax(axis=1)
-    return float(np.mean(preds == data.labels))
 
 
 def evaluate(
@@ -254,19 +254,9 @@ def evaluate(
     aupr_positive: str = DOMAIN_OUT,
 ) -> metrics.MetricsReport:
     """Score both eval sets with ``scorer`` and compute the detection metrics."""
-    records = score_records(model, eval_in, eval_out, scorer)
-    return metrics.compute_report(records, aupr_positive=aupr_positive)
-
-
-def score_records(
-    model: Model, eval_in: LabeledSet, eval_out: LabeledSet, scorer: str
-) -> list[metrics.ScoreRecord]:
     s_in = score_samples(model, eval_in.features, scorer)
     s_out = score_samples(model, eval_out.features, scorer)
-    return metrics.records_from_arrays(
-        np.concatenate([s_in, s_out]),
-        [DOMAIN_IN] * len(s_in) + [DOMAIN_OUT] * len(s_out),
-    )
+    return metrics.compute_report(s_in, s_out, aupr_positive=aupr_positive)
 
 
 def batch_gradients(
@@ -348,14 +338,23 @@ def _epoch_log(
     eval_out: LabeledSet,
     step: int = 0,
 ) -> EpochLog:
+    # Each eval set is forwarded once; every per-epoch figure reads these two
+    # score matrices. They stay separate calls so the BLAS results match
+    # score_samples on each set bit for bit.
+    scores_in = scores_batch(model, eval_in.features)
+    scores_out = scores_batch(model, eval_out.features)
     hist_scorer = _hist_scorer(model, config.criterion)
-    conf_in = score_samples(model, eval_in.features, hist_scorer)
-    conf_out = score_samples(model, eval_out.features, hist_scorer)
+    conf_in = _scorer_values(scores_in, hist_scorer)
+    conf_out = _scorer_values(scores_out, hist_scorer)
     combined = np.concatenate([conf_in, conf_out])
     if not np.all(np.isfinite(combined)):
         raise NonFiniteLoss(step)
-    report = evaluate(model, eval_in, eval_out, scorer, aupr_positive=config.aupr_positive)
-    acc = accuracy(model, eval_in)
+    report = metrics.compute_report(
+        _scorer_values(scores_in, scorer),
+        _scorer_values(scores_out, scorer),
+        aupr_positive=config.aupr_positive,
+    )
+    acc = float(np.mean(scores_in.argmax(axis=1) == eval_in.labels))
     if hist_scorer == "ice_conf":
         value_range = (0.0, 1.0)
     else:

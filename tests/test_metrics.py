@@ -7,13 +7,6 @@ from oodlab import metrics
 from oracles import pairwise_auroc, sweep_aupr, sweep_fpr_at_tpr
 
 
-def make_records(in_scores, out_scores):
-    return metrics.records_from_arrays(
-        list(in_scores) + list(out_scores),
-        ["in"] * len(in_scores) + ["out"] * len(out_scores),
-    )
-
-
 def random_instance(rng, allow_ties=True):
     n_in = int(rng.integers(1, 101))
     n_out = int(rng.integers(1, 101))
@@ -30,23 +23,23 @@ def random_instance(rng, allow_ties=True):
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert metrics.auroc(make_records([0.9, 0.8], [0.2, 0.1])) == 1.0
+        assert metrics.auroc([0.9, 0.8], [0.2, 0.1]) == 1.0
 
     def test_pairwise_example(self):
-        assert metrics.auroc(make_records([0.8, 0.4], [0.6, 0.2])) == pytest.approx(0.75)
+        assert metrics.auroc([0.8, 0.4], [0.6, 0.2]) == pytest.approx(0.75)
 
     def test_tie_convention(self):
-        assert metrics.auroc(make_records([0.5], [0.5])) == pytest.approx(0.5)
+        assert metrics.auroc([0.5], [0.5]) == pytest.approx(0.5)
 
     def test_missing_domain(self):
         with pytest.raises(metrics.MissingDomain):
-            metrics.auroc(make_records([0.5], []))
+            metrics.auroc([0.5], [])
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(150):
             in_s, out_s = random_instance(rng)
-            fast = metrics.auroc(make_records(in_s, out_s))
+            fast = metrics.auroc(in_s, out_s)
             assert abs(fast - pairwise_auroc(in_s, out_s)) <= 1e-12
 
     @given(st.integers(0, 2**31 - 1))
@@ -55,8 +48,8 @@ class TestAuroc:
         rng = np.random.default_rng(seed)
         in_s = rng.standard_normal(12)
         out_s = rng.standard_normal(9)
-        base = metrics.auroc(make_records(in_s, out_s))
-        transformed = metrics.auroc(make_records(np.exp(0.5 * in_s), np.exp(0.5 * out_s)))
+        base = metrics.auroc(in_s, out_s)
+        transformed = metrics.auroc(np.exp(0.5 * in_s), np.exp(0.5 * out_s))
         assert transformed == pytest.approx(base, abs=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
@@ -65,69 +58,67 @@ class TestAuroc:
         rng = np.random.default_rng(seed)
         in_s = rng.standard_normal(10)
         out_s = rng.standard_normal(7)
-        forward = metrics.auroc(make_records(in_s, out_s))
-        swapped = metrics.auroc(make_records(out_s, in_s))
+        forward = metrics.auroc(in_s, out_s)
+        swapped = metrics.auroc(out_s, in_s)
         assert swapped == pytest.approx(1.0 - forward, abs=1e-12)
 
 
 class TestAupr:
     def test_perfect_separation(self):
-        assert metrics.aupr(make_records([0.9, 0.8], [0.2, 0.1]), positive="in") == pytest.approx(1.0)
-        assert metrics.aupr(make_records([0.9, 0.8], [0.2, 0.1]), positive="out") == pytest.approx(1.0)
+        assert metrics.aupr([0.9, 0.8], [0.2, 0.1], positive="in") == pytest.approx(1.0)
+        assert metrics.aupr([0.9, 0.8], [0.2, 0.1], positive="out") == pytest.approx(1.0)
 
     def test_step_wise_example(self):
         # descending thresholds: P=1 at R=1/2, then P=2/3 at R=1 -> 1/2 + 1/2 * 2/3
-        value = metrics.aupr(make_records([0.8, 0.4], [0.6, 0.2]), positive="in")
+        value = metrics.aupr([0.8, 0.4], [0.6, 0.2], positive="in")
         assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_single_top_positive(self):
-        assert metrics.aupr(make_records([0.9], [0.5, 0.4]), positive="in") == pytest.approx(1.0)
+        assert metrics.aupr([0.9], [0.5, 0.4], positive="in") == pytest.approx(1.0)
 
     def test_bad_positive_argument(self):
         with pytest.raises(ValueError):
-            metrics.aupr(make_records([1.0], [0.0]), positive="neither")
+            metrics.aupr([1.0], [0.0], positive="neither")
 
     @pytest.mark.parametrize("positive", ["in", "out"])
     def test_matches_sweep_oracle(self, positive):
         rng = np.random.default_rng(1)
         for _ in range(150):
             in_s, out_s = random_instance(rng)
-            fast = metrics.aupr(make_records(in_s, out_s), positive=positive)
+            fast = metrics.aupr(in_s, out_s, positive=positive)
             assert abs(fast - sweep_aupr(in_s, out_s, positive)) <= 1e-12
 
 
 class TestFprAtTpr:
     def test_perfect_separation(self):
-        assert metrics.fpr_at_tpr(make_records([0.9, 0.8], [0.2, 0.1])) == 0.0
+        assert metrics.fpr_at_tpr([0.9, 0.8], [0.2, 0.1]) == 0.0
 
     def test_threshold_example(self):
-        records = make_records([0.9, 0.8, 0.7, 0.6], [0.65, 0.1])
-        assert metrics.fpr_at_tpr(records, 0.95) == pytest.approx(0.5)
+        assert metrics.fpr_at_tpr([0.9, 0.8, 0.7, 0.6], [0.65, 0.1], 0.95) == pytest.approx(0.5)
 
     def test_all_equal_degenerate(self):
-        records = make_records([0.5, 0.5], [0.5, 0.5])
-        assert metrics.fpr_at_tpr(records, 0.95) == 1.0
+        assert metrics.fpr_at_tpr([0.5, 0.5], [0.5, 0.5], 0.95) == 1.0
 
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(150):
             in_s, out_s = random_instance(rng)
             target = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99, 1.0]))
-            fast = metrics.fpr_at_tpr(make_records(in_s, out_s), target)
+            fast = metrics.fpr_at_tpr(in_s, out_s, target)
             assert abs(fast - sweep_fpr_at_tpr(in_s, out_s, target)) <= 1e-12
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_target(self, seed):
         rng = np.random.default_rng(seed)
-        records = make_records(rng.standard_normal(20), rng.standard_normal(15))
-        values = [metrics.fpr_at_tpr(records, t) for t in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
+        in_s, out_s = rng.standard_normal(20), rng.standard_normal(15)
+        values = [metrics.fpr_at_tpr(in_s, out_s, t) for t in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
 class TestComputeReport:
     def test_fields_and_counts(self):
-        report = metrics.compute_report(make_records([0.9, 0.8], [0.2]), aupr_positive="out")
+        report = metrics.compute_report([0.9, 0.8], [0.2], aupr_positive="out")
         assert report.n_in == 2 and report.n_out == 1
         assert report.auroc == 1.0 and report.fpr95 == 0.0
 
@@ -160,11 +151,25 @@ class TestHistogram:
         assert hist.counts.sum() == len(scores)
 
 
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        records = make_records([0.25, 1.5], [-0.5])
-        path = tmp_path / "scores.csv"
-        metrics.records_to_csv(records, path)
-        assert path.read_text().splitlines()[0] == "score,domain"
-        loaded = metrics.records_from_csv(path)
-        assert loaded == records
+METRIC_FUNCTIONS = [metrics.auroc, metrics.aupr, metrics.fpr_at_tpr, metrics.compute_report]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("metric", METRIC_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_non_finite_score_rejected(self, metric, bad, side):
+        s_in, s_out = [0.9, 0.4, 0.2], [0.6, 0.1]
+        if side == "in":
+            s_in[1] = bad
+        else:
+            s_out[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            metric(np.array(s_in), np.array(s_out))
+
+    @pytest.mark.parametrize("metric", METRIC_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_empty_side_is_missing_domain(self, metric, side):
+        s_in, s_out = ([], [0.5, 0.1]) if side == "in" else ([0.5, 0.1], [])
+        with pytest.raises(metrics.MissingDomain):
+            metric(np.array(s_in), np.array(s_out))

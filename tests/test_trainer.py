@@ -126,8 +126,8 @@ class TestPlainParity:
 
 class TestEvaluate:
     def test_perfect_detector(self):
-        # a rigged model is unnecessary: feed evaluate through score_records on
-        # a model, then check the metric contract directly on separable scores
+        # a rigged model is unnecessary: run evaluate on a trained model and
+        # check the report's range and counts
         data = small_splits()
         cfg = quick_config("ice", epochs=4, seed=5)
         model, _ = trainer.train(cfg, *data)
@@ -240,6 +240,41 @@ class TestEpochLog:
         parsed = [json.loads(line) for line in lines]
         assert parsed[0]["epoch"] == 0 and parsed[1]["epoch"] == 1
 
+
+
+class TestEpochEval:
+    @pytest.mark.parametrize("kind,head", [("oe", "linear"), ("ice", "gaussian")])
+    def test_forwards_each_eval_set_once(self, kind, head, monkeypatch):
+        data = small_splits()
+        train_in, _, eval_in, eval_out = data
+        cfg = quick_config(kind, epochs=2)
+        forward = trainer.bb.forward_batch
+        rows = []
+
+        def counting(params, x):
+            rows.append(x.shape[0])
+            return forward(params, x)
+
+        monkeypatch.setattr(trainer.bb, "forward_batch", counting)
+        model, _ = trainer.train(cfg, *data)
+        assert model.head_kind == head
+        steps_per_epoch = math.ceil(len(train_in) / cfg.batch_in)
+        train_rows = cfg.epochs * (len(train_in) + steps_per_epoch * cfg.batch_out)
+        eval_rows = cfg.epochs * (len(eval_in) + len(eval_out))
+        init_rows = len(train_in) if head == "gaussian" else 0  # Gaussian means start at class feature means
+        assert sum(rows) == train_rows + eval_rows + init_rows
+
+    @pytest.mark.parametrize("kind,scorer", [("plain", "msp"), ("ice", "ice_conf")])
+    def test_final_log_matches_evaluate(self, kind, scorer):
+        data = small_splits()
+        eval_in, eval_out = data[2], data[3]
+        cfg = quick_config(kind, epochs=2)
+        model, logs = trainer.train(cfg, *data)
+        assert trainer.resolve_scorer(cfg.scorer, model.head_kind, cfg.criterion) == scorer
+        report = trainer.evaluate(model, eval_in, eval_out, scorer, aupr_positive=cfg.aupr_positive)
+        assert logs[-1].report == report  # dataclass equality: every field compared with ==
+        preds = trainer.scores_batch(model, eval_in.features).argmax(axis=1)
+        assert logs[-1].acc_in == float(np.mean(preds == eval_in.labels))
 
 class TestCheckpoint:
     def test_round_trip_scores(self, tmp_path):
