@@ -22,8 +22,10 @@ import numpy as np
 
 from . import criteria, trainer
 from .config import ConfigError, ExperimentConfig, load_config, resolved_ini
+from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
 from .gda import (
     DOMAIN_IN,
+    DOMAIN_OUT,
     InvalidThreshold,
     LabeledSet,
     MalformedData,
@@ -34,6 +36,7 @@ from .gda import (
 from .seeding import component_seed
 from .shiftsim import (
     NonFiniteState,
+    OneSidedThreshold,
     find_false_likelihood_pair,
     make_shift_bank,
     run_shift_sim,
@@ -81,10 +84,6 @@ def _prepare_out(config: ExperimentConfig, out_dir: str) -> None:
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-
-
-def _fmt(x: float) -> str:
-    return "NaN" if (isinstance(x, float) and math.isnan(x)) else repr(float(x))
 
 
 def cmd_gen_data(config: ExperimentConfig, out_dir: str) -> int:
@@ -143,8 +142,8 @@ def cmd_simulate_shift(config: ExperimentConfig, out_dir: str) -> int:
     first, last = trajectory.stats[0], trajectory.stats[-1]
     print(
         f"criterion={config.train.criterion.kind} steps={trajectory.steps} "
-        f"mean_norm_out {_fmt(first.mean_norm_out)} -> {_fmt(last.mean_norm_out)} "
-        f"mean_nearest_center_out {_fmt(first.mean_nearest_center_out)} -> {_fmt(last.mean_nearest_center_out)}"
+        f"mean_norm_out {format_cell(first.mean_norm_out)} -> {format_cell(last.mean_norm_out)} "
+        f"mean_nearest_center_out {format_cell(first.mean_nearest_center_out)} -> {format_cell(last.mean_nearest_center_out)}"
     )
     return 0
 
@@ -153,7 +152,7 @@ def _write_metrics_csv(path, report, acc_in: float) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["auroc", "aupr", "fpr95", "n_in", "n_out", "acc_in"])
-        writer.writerow([_fmt(report.auroc), _fmt(report.aupr), _fmt(report.fpr95), report.n_in, report.n_out, _fmt(acc_in)])
+        writer.writerow([*map(format_cell, (report.auroc, report.aupr, report.fpr95)), report.n_in, report.n_out, format_cell(acc_in)])
 
 
 def cmd_train(config: ExperimentConfig, out_dir: str) -> int:
@@ -190,12 +189,11 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
             try:
                 _, logs = trainer.train(run_cfg, train_in, train_out, eval_in, eval_out)
                 final = logs[-1]
-                rows.append(
-                    [kind, _fmt(gamma), _fmt(final.report.aupr), _fmt(final.report.auroc), _fmt(final.report.fpr95), _fmt(final.acc_in)]
-                )
+                report = final.report
+                rows.append([kind, *map(format_cell, (gamma, report.aupr, report.auroc, report.fpr95, final.acc_in))])
             except trainer.NonFiniteLoss as exc:
-                nan = _fmt(math.nan)
-                rows.append([kind, _fmt(gamma), nan, nan, nan, nan])
+                nan = format_cell(math.nan)
+                rows.append([kind, format_cell(gamma), nan, nan, nan, nan])
                 print(f"criterion={kind} gamma={gamma}: {exc}", file=sys.stderr)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -210,15 +208,12 @@ def cmd_export_features(config: ExperimentConfig, out_dir: str, checkpoint: str)
     _, _, eval_in, eval_out = make_datasets(config)
     path = os.path.join(out_dir, "features.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = model.backbone.out_dim
-        writer.writerow(["idx", "domain"] + [f"z{j}" for j in range(dim)])
+        fh.write(join_cells(["idx", "domain"] + [f"z{j}" for j in range(model.backbone.out_dim)]) + CSV_END)
         idx = 0
-        for data, tag in ((eval_in, DOMAIN_IN), (eval_out, "out")):
-            feats = trainer.features_batch(model, data.features)
-            for row in feats:
-                writer.writerow([idx, tag] + [repr(float(v)) for v in row])
-                idx += 1
+        for data, tag in ((eval_in, DOMAIN_IN), (eval_out, DOMAIN_OUT)):
+            lead = [join_cells([i, tag]) for i in range(idx, idx + len(data))]
+            write_csv_rows(fh, trainer.features_batch(model, data.features), lead=lead)
+            idx += len(data)
     print(f"wrote {idx} feature rows to {path}")
     return 0
 
@@ -266,12 +261,14 @@ def main(argv: list[str] | None = None) -> int:
                 gammas = [float(part) for part in gammas_raw]
             except ValueError as exc:
                 raise ConfigError(f"--gammas: {exc}") from exc
+            if not all(map(math.isfinite, gammas)):
+                raise ConfigError(f"--gammas must be finite, got {args.gammas!r}")
             kinds = [part.strip() for part in args.criteria.split(",") if part.strip()]
             return cmd_sweep_lambda(config, out_dir, gammas, kinds)
         if args.command == "export-features":
             return cmd_export_features(config, out_dir, args.checkpoint)
         raise AssertionError(args.command)
-    except (ConfigError, InvalidThreshold, trainer.DegenerateData) as exc:
+    except (ConfigError, InvalidThreshold, OneSidedThreshold, trainer.DegenerateData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (trainer.NonFiniteLoss, NonFiniteState) as exc:

@@ -85,9 +85,12 @@ _SCHEMA = {
 
 def _parse_number(section: str, key: str, raw: str, kind):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
@@ -134,8 +137,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     )
     if seed_override is not None:
         data = dataclasses.replace(data, seed=int(seed_override))
-    if data.mu <= 0:
-        raise ConfigError("[data] mu must be positive")
+    if data.mu <= 0 or data.zeta <= 0:
+        raise ConfigError("[data] mu and zeta must be positive")
     if data.n < 0 or data.dims < 2:
         raise ConfigError("[data] n must be >= 0 and dims >= 2")
     if data.hard_clusters < 1 or data.hard_std <= 0:

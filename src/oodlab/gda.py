@@ -4,6 +4,8 @@ Covers fitting (per-class means, pooled MLE covariance), the closed-form linear
 discriminant that the Gaussian assumption induces, density/posterior
 evaluation, and the two-cluster in/out sampler where a draw counts as
 in-distribution when its best class-conditional density clears a threshold.
+A ``LabeledSet`` is stored as a CSV file (the ``gen-data`` output), written
+through ``floatrows.write_csv_rows`` and read back by ``LabeledSet.from_csv``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .floatrows import CSV_END, join_cells, write_csv_rows
 from .seeding import rng_from_seed
 
 DOMAIN_IN = "in"
@@ -87,12 +90,14 @@ class LabeledSet:
         return self.features[~self.in_mask()]
 
     def to_csv(self, path) -> None:
+        """Write ``x0,...,label,domain`` rows; the label cell is empty on out rows."""
+        tail = [
+            join_cells([label if tag == DOMAIN_IN else "", tag])
+            for label, tag in zip(self.labels.tolist(), self.domain.tolist())
+        ]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j}" for j in range(self.dim)] + ["label", "domain"])
-            for row, label, tag in zip(self.features, self.labels, self.domain):
-                label_field = str(int(label)) if tag == DOMAIN_IN else ""
-                writer.writerow([repr(float(v)) for v in row] + [label_field, tag])
+            fh.write(join_cells([f"x{j}" for j in range(self.dim)] + ["label", "domain"]) + CSV_END)
+            write_csv_rows(fh, self.features, tail=tail)
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSet":

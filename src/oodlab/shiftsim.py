@@ -5,7 +5,9 @@ that the closed-form linear score ranks one way and the Gaussian likelihood
 the other. The second treats the feature vectors themselves as the trainable
 parameters, freezes a head at the fitted Gaussian model, and descends each
 feature on its own branch of a criterion, recording how the in- and
-out-of-distribution populations move.
+out-of-distribution populations move. A trajectory is written as two CSV
+files: every snapshot's features, one snapshot per write through
+``floatrows.write_csv_rows``, and the per-step population statistics.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, heads, linalg
+from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
 from .gda import DOMAIN_IN, GdaModel, LabeledSet, closed_form_discriminant, density_max, sample_synthetic
 
 
@@ -26,6 +29,17 @@ class NonFiniteState(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite feature state at step {step}")
         self.step = step
+
+
+class OneSidedThreshold(ValueError):
+    """The density threshold tags too few draws in or out to fill a shift bank."""
+
+
+# Rows that all shift-bank draws together may use, per requested row. Redraws
+# double from 4 rows per requested row, so the largest holds 128; a threshold
+# that tags (almost) every draw the same way then fails fast instead of
+# exhausting memory.
+BANK_DRAW_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -116,10 +130,19 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
     """A feature bank with exactly n_in in-tagged and n_out out-tagged samples.
 
     Draws through the alternating two-cluster sampler and keeps the first
-    n_in / n_out of each tag, drawing more as needed. Deterministic per seed.
+    n_in / n_out of each tag, redrawing at twice the size as needed.
+    Deterministic per seed.
+
+    Raises:
+        OneSidedThreshold: the draws allowed by ``BANK_DRAW_BUDGET`` hold
+            too few rows of one tag.
     """
-    batch = max(256, 4 * (n_in + n_out))
-    for _ in range(24):
+    wanted = n_in + n_out
+    budget = max(256, BANK_DRAW_BUDGET * wanted)
+    batch = max(256, 4 * wanted)
+    drawn = 0
+    while drawn + batch <= budget:
+        drawn += batch
         data = sample_synthetic(mu, zeta, batch, seed, dims=dims)
         in_rows = np.nonzero(data.in_mask())[0]
         out_rows = np.nonzero(~data.in_mask())[0]
@@ -127,7 +150,10 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
             keep = np.concatenate([in_rows[:n_in], out_rows[:n_out]])
             return LabeledSet(data.features[keep], data.labels[keep], data.domain[keep])
         batch *= 2
-    raise ValueError("could not collect the requested tag counts; zeta is too one-sided")
+    raise OneSidedThreshold(
+        f"zeta={zeta!r} tags {len(in_rows)} in and {len(out_rows)} out rows of {len(data)} draws; "
+        f"the shift bank needs n_in={n_in} and n_out={n_out}"
+    )
 
 
 def shift_stats(
@@ -225,22 +251,18 @@ def run_shift_sim(
     return ShiftTrajectory(snapshots=snapshots, labels=labels.copy(), domain=bank.domain.copy(), stats=stats)
 
 
-def _format_cell(x: float) -> str:
-    return "NaN" if math.isnan(x) else repr(float(x))
-
-
 def trajectory_to_csv(trajectory: ShiftTrajectory, path) -> None:
+    """One CSV row per (step, sample): ``step,idx,domain,x0,...``, one snapshot per write."""
     dim = trajectory.snapshots.shape[2]
+    idx_domain = [join_cells([idx, tag]) for idx, tag in enumerate(trajectory.domain.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "idx", "domain"] + [f"x{j}" for j in range(dim)])
-        for step in range(trajectory.snapshots.shape[0]):
-            for idx in range(trajectory.snapshots.shape[1]):
-                row = trajectory.snapshots[step, idx]
-                writer.writerow([step, idx, trajectory.domain[idx]] + [repr(float(v)) for v in row])
+        fh.write(join_cells(["step", "idx", "domain"] + [f"x{j}" for j in range(dim)]) + CSV_END)
+        for step, snapshot in enumerate(trajectory.snapshots):
+            write_csv_rows(fh, snapshot, lead=[f"{step},{cells}" for cells in idx_domain])
 
 
 def stats_to_csv(trajectory: ShiftTrajectory, path) -> None:
+    """One CSV row of ``ShiftStats`` per step; a statistic with no rows to average is ``NaN``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_norm_out", "mean_nearest_center_out", "mean_own_center_in", "mixed_fraction"])
@@ -248,9 +270,9 @@ def stats_to_csv(trajectory: ShiftTrajectory, path) -> None:
             writer.writerow(
                 [
                     step,
-                    _format_cell(st.mean_norm_out),
-                    _format_cell(st.mean_nearest_center_out),
-                    _format_cell(st.mean_own_center_in),
-                    _format_cell(st.mixed_fraction),
+                    format_cell(st.mean_norm_out),
+                    format_cell(st.mean_nearest_center_out),
+                    format_cell(st.mean_own_center_in),
+                    format_cell(st.mixed_fraction),
                 ]
             )

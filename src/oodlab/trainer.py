@@ -22,6 +22,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import criteria, heads, metrics
+from .floatrows import float_rows
 from .gda import DOMAIN_IN, DOMAIN_OUT, LabeledSet
 from .seeding import component_rng
 
@@ -471,7 +472,7 @@ def save_checkpoint(model: Model, path) -> None:
     lines = [f"schema={CHECKPOINT_SCHEMA}", f"head.kind={model.head_kind}"]
     lines.append("backbone.widths=" + " ".join(str(w) for w in model.backbone.widths))
     for name, arr in param_items(model):
-        lines.append(name + "=" + " ".join(repr(float(v)) for v in np.asarray(arr).ravel()))
+        lines.append(name + "=" + float_rows(np.reshape(arr, (1, -1)), sep=" ")[0])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -6,6 +6,9 @@ out with explicit densities. None of it shares code with the package paths it
 checks.
 """
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -92,3 +95,17 @@ def bayes_posterior(z, means, cov):
     """Posterior over classes from explicit densities under uniform priors."""
     dens = np.array([gaussian_density(z, mu, cov) for mu in means])
     return dens / dens.sum()
+
+
+def float_cells(values):
+    """One cell per value: repr of the value converted to a Python float."""
+    return [repr(float(v)) for v in np.asarray(values).ravel()]
+
+
+def csv_writer_text(rows):
+    """The bytes csv.writer's excel dialect writes for ``rows``, one writerow per row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()

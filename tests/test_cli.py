@@ -135,8 +135,30 @@ class TestDegenerateConfigs:
             ("simulate-shift", {"shift": {"n_in": "0"}}),
             ("simulate-shift", {"shift": {"n_out": "0"}}),
             ("train", {"data": {"n": "6"}}),
+            ("train", {"data": {"mu": "nan"}}),
+            ("train", {"data": {"hard_radius": "inf"}}),
+            ("simulate-shift", {"data": {"zeta": "nan"}}),
+            ("train", {"criterion": {"lambda": "nan"}}),
+            ("train", {"training": {"lr": "inf"}}),
+            ("train", {"data": {"zeta": "0"}}),
+            ("simulate-shift", {"data": {"zeta": "1e-300"}}),
         ],
-        ids=["feature_dim", "hidden", "hard_clusters", "hard_std", "shift_n_in", "shift_n_out", "no_outliers"],
+        ids=[
+            "feature_dim",
+            "hidden",
+            "hard_clusters",
+            "hard_std",
+            "shift_n_in",
+            "shift_n_out",
+            "no_outliers",
+            "mu_nan",
+            "hard_radius_inf",
+            "zeta_nan",
+            "lambda_nan",
+            "lr_inf",
+            "zeta_zero",
+            "zeta_all_in",
+        ],
     )
     def test_rejected_with_config_error(self, tmp_path, capsys, command, overrides):
         cfg = write_ini(tmp_path / "c.ini", overrides)
@@ -286,6 +308,12 @@ class TestSweep:
     def test_empty_gammas_rejected(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")
         assert cli.main(["sweep-lambda", "--config", cfg, "--out", str(tmp_path / "o"), "--gammas", ""]) == 2
+
+    @pytest.mark.parametrize("gammas", ["1,nan", "inf"])
+    def test_non_finite_gammas_rejected(self, tmp_path, capsys, gammas):
+        cfg = write_ini(tmp_path / "c.ini")
+        assert cli.main(["sweep-lambda", "--config", cfg, "--out", str(tmp_path / "o"), "--gammas", gammas]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestExportFeatures:

@@ -63,6 +63,20 @@ class TestMakeShiftBank:
         again = default_bank(seed=3, n_in=50, n_out=20)
         np.testing.assert_array_equal(bank.features, again.features)
 
+    @pytest.mark.parametrize("zeta", [1e-300, 0.9999 * gda.density_max(2)], ids=["all_in", "all_out"])
+    def test_one_sided_threshold_fails_within_budget(self, zeta, monkeypatch):
+        drawn = []
+        sample = shiftsim.sample_synthetic
+
+        def counting_sample(mu, zeta, n, seed, dims=2):
+            drawn.append(n)
+            return sample(mu, zeta, n, seed, dims=dims)
+
+        monkeypatch.setattr(shiftsim, "sample_synthetic", counting_sample)
+        with pytest.raises(shiftsim.OneSidedThreshold):
+            shiftsim.make_shift_bank(3.0, zeta, 200, 200, seed=5)
+        assert sum(drawn) <= shiftsim.BANK_DRAW_BUDGET * 400
+
 
 class TestShiftStats:
     def test_hand_example(self):
