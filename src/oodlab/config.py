@@ -19,7 +19,6 @@ import numpy as np
 
 from . import criteria
 from .gda import ring_centers
-from .seeding import RNG_ALGORITHM
 from .trainer import TrainConfig, resolve_head_kind, resolve_scorer
 
 # Threshold default: the two-cluster density at radius 2.5 from a center.
@@ -61,7 +60,6 @@ class ShiftConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    rng: str = RNG_ALGORITHM
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ _SCHEMA = {
     "training": ("schedule", "lr", "epochs", "batch_in", "batch_out", "momentum"),
     "shift": ("steps", "lr", "n_in", "n_out"),
     "eval": ("scorer", "aupr_positive"),
-    "output": ("dir", "hist_bins", "rng"),
+    "output": ("dir", "hist_bins"),
 }
 
 
@@ -165,12 +163,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if shift.lr <= 0:
         raise ConfigError("[shift] lr must be positive")
 
-    output = OutputConfig(
-        directory=get("output", "dir", "out"),
-        rng=get("output", "rng", RNG_ALGORITHM),
-    )
-    if output.rng != RNG_ALGORITHM:
-        raise ConfigError(f"[output] rng: only {RNG_ALGORITHM!r} is supported")
+    output = OutputConfig(directory=get("output", "dir", "out"))
 
     try:
         train = TrainConfig(
@@ -245,6 +238,5 @@ def resolved_ini(config: ExperimentConfig) -> str:
         "[output]",
         f"dir = {config.output.directory}",
         f"hist_bins = {train.hist_bins}",
-        f"rng = {config.output.rng}",
     ]
     return "\n".join(lines) + "\n"

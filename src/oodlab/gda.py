@@ -187,10 +187,22 @@ def closed_form_discriminant(model: GdaModel) -> tuple[np.ndarray, np.ndarray]:
     Row i of the returned weight matrix is Sigma^-1 mu_i and the bias is
     -0.5 * mu_i.T Sigma^-1 mu_i.
     """
-    # Solve Sigma W.T = means.T via the Cholesky factor.
-    w_hat = linalg.tri_solve_lower_t(model.chol, linalg.tri_solve_lower(model.chol, model.means.T)).T
+    inverse = linalg.tri_solve_lower(model.chol, np.eye(model.dim))
+    w_hat = model.means @ inverse.T @ inverse
     b_hat = -0.5 * np.einsum("kj,kj->k", model.means, w_hat)
     return w_hat, b_hat
+
+
+def sq_mahalanobis(model: GdaModel, z: np.ndarray) -> np.ndarray:
+    """(n, K) squared Mahalanobis distances of each row of ``z`` to every class mean."""
+    v, _ = linalg.whiten(model.chol, model.means, z)
+    return np.einsum("bkj,bkj->bk", v, v)
+
+
+def log_density(model: GdaModel, sq_mahal: np.ndarray) -> np.ndarray:
+    """log N(z; mu_i, Sigma) from the squared Mahalanobis distance of z to mu_i."""
+    log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
+    return -0.5 * (sq_mahal + log_det + model.dim * math.log(2.0 * math.pi))
 
 
 def class_likelihood(model: GdaModel, z: np.ndarray, i: int) -> float:
@@ -198,9 +210,7 @@ def class_likelihood(model: GdaModel, z: np.ndarray, i: int) -> float:
     if not 0 <= i < model.n_classes:
         raise ValueError(f"class index {i} out of range for K={model.n_classes}")
     z = np.asarray(z, dtype=float)
-    quad = linalg.spd_quadform(model.chol, z - model.means[i])
-    log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    return math.exp(-0.5 * (quad + log_det + model.dim * math.log(2.0 * math.pi)))
+    return math.exp(log_density(model, sq_mahalanobis(model, z[None, :]))[0, i])
 
 
 def posterior(model: GdaModel, z: np.ndarray) -> np.ndarray:

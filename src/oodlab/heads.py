@@ -7,9 +7,10 @@ unconstrained values and materialized through exp, so plain gradient descent
 can never leave the positive-definite cone.
 
 Index conventions used by the Gaussian-head math, with u_i = z - m_i:
-    v_i = L^-1 u_i            so the score is h_i = -|v_i|^2
-    g_i = (L L.T)^-1 u_i      the "natural" residual, L^-T v_i
+    v_i = L^-1 u_i            whitened by ``linalg.whiten``; h_i = -|v_i|^2
+    g_i = (L L.T)^-1 u_i      the "natural" residual L^-T v_i; as a row, v_i.T L^-1
     dh_i/dz = -2 g_i,  dh_i/dm_i = 2 g_i,  dh_i/dL = 2 g_i v_i.T (lower part)
+The backward re-whitens instead of caching the forward's v: one matmul.
 """
 
 from __future__ import annotations
@@ -172,20 +173,8 @@ def linear_backward(params: LinearHeadParams, z: np.ndarray, upstream: np.ndarra
 # Gaussian head
 
 
-def _residual_solves(params: GaussianHeadParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v and g stacked per (row, class); see the module docstring for notation."""
-    z = np.asarray(z, dtype=float)
-    lower = params.materialize()
-    diff = z[:, None, :] - params.means[None, :, :]  # (B, K, d)
-    b, k, d = diff.shape
-    flat = diff.reshape(b * k, d).T  # (d, B*K)
-    v = linalg.tri_solve_lower(lower, flat)
-    g = linalg.tri_solve_lower_t(lower, v)
-    return v.T.reshape(b, k, d), g.T.reshape(b, k, d)
-
-
 def gaussian_forward_batch(params: GaussianHeadParams, z: np.ndarray) -> np.ndarray:
-    v, _ = _residual_solves(params, z)
+    v, _ = linalg.whiten(params.materialize(), params.means, z)
     return -np.einsum("bkj,bkj->bk", v, v)
 
 
@@ -206,10 +195,13 @@ def gaussian_backward_batch(
     diagonal.
     """
     upstream = np.asarray(upstream, dtype=float)
-    v, g = _residual_solves(params, z)
-    d_z = -2.0 * np.einsum("bk,bkj->bj", upstream, g)
-    d_means = 2.0 * np.einsum("bk,bkj->kj", upstream, g)
-    d_factor = 2.0 * np.einsum("bk,bkj,bki->ji", upstream, g, v)
+    v, inverse = linalg.whiten(params.materialize(), params.means, z)
+    b, k, d = v.shape
+    flat_v = v.reshape(b * k, d)
+    weighted_g = upstream.reshape(b * k, 1) * (flat_v @ inverse)  # one upstream-weighted g per (row, class)
+    d_z = -2.0 * weighted_g.reshape(b, k, d).sum(axis=1)
+    d_means = 2.0 * weighted_g.reshape(b, k, d).sum(axis=0)
+    d_factor = 2.0 * (weighted_g.T @ flat_v)
     d_tri = np.tril(d_factor, -1)
     lower_diag = np.exp(np.diag(params.tri_raw))
     np.fill_diagonal(d_tri, np.diag(d_factor) * lower_diag)

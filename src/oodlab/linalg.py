@@ -1,9 +1,11 @@
-"""Minimal dense linear algebra: Cholesky, triangular solves, SPD quadratic forms.
+"""Minimal dense linear algebra: Cholesky, triangular solves, and the whitening kernel.
 
 Everything is float64 and desk-scale (d up to ~128), so factorizations are
-unblocked and solves are plain substitution. Lower-triangular factors are
-represented as full (d, d) arrays with an explicitly zero upper triangle and a
-strictly positive diagonal; ``cholesky`` produces factors in that form.
+unblocked and solves are plain substitution. Every Mahalanobis distance goes
+through ``whiten``, which inverts the factor once by substitution and maps
+all residuals with one matmul. Lower-triangular factors are represented as
+full (d, d) arrays with an explicitly zero upper triangle and a strictly
+positive diagonal; ``cholesky`` produces factors in that form.
 """
 
 from __future__ import annotations
@@ -69,26 +71,14 @@ def tri_solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def tri_solve_lower_t(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve lower.T @ x = b by backward substitution (multi-column ``b`` ok)."""
-    lower = _as_square(lower, "tri_solve_lower_t")
-    b = np.asarray(b, dtype=float)
-    n = lower.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"dimension mismatch: L is {n}x{n}, b has leading dim {b.shape[0]}")
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+def whiten(lower: np.ndarray, centers: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened residuals v[b, k] = L^-1 (z_b - m_k), and L^-1 itself.
 
-
-def spd_quadform(lower: np.ndarray, u: np.ndarray) -> float:
-    """u.T @ (L L.T)^-1 @ u, computed as the squared norm of L^-1 u.
-
-    Non-negative, and zero exactly when u is zero.
+    ``centers`` is (K, d) and ``z`` is (B, d); v is (B, K, d), so |v[b, k]|^2
+    is the squared Mahalanobis distance of row b to center k under L L.T.
+    L^-1 is formed once and applied to all B*K residuals in one 2-D matmul.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError(f"spd_quadform expects a vector, got shape {u.shape}")
-    v = tri_solve_lower(lower, u)
-    return float(v @ v)
+    inverse = tri_solve_lower(lower, np.eye(len(lower)))
+    diff = np.asarray(z, dtype=float)[:, None, :] - np.asarray(centers, dtype=float)[None, :, :]
+    b, k, d = diff.shape
+    return (diff.reshape(b * k, d) @ inverse.T).reshape(b, k, d), inverse

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RNG_ALGORITHM = "pcg64"
-
 COMPONENTS = {
     "train_data": 0,
     "eval_data": 1,

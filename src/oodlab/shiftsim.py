@@ -18,9 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria, heads, linalg
+from . import criteria, heads
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
-from .gda import DOMAIN_IN, GdaModel, LabeledSet, closed_form_discriminant, density_max, sample_synthetic
+from .gda import (
+    DOMAIN_IN,
+    GdaModel,
+    LabeledSet,
+    closed_form_discriminant,
+    density_max,
+    log_density,
+    sample_synthetic,
+    sq_mahalanobis,
+)
 
 
 class NonFiniteState(RuntimeError):
@@ -90,11 +99,7 @@ def find_false_likelihood_pair(
     """
     w_hat, b_hat = closed_form_discriminant(model)
     f_scores = data.features @ w_hat[class_i] + b_hat[class_i]
-    centered = (data.features - model.means[class_i]).T
-    solved = linalg.tri_solve_lower(model.chol, centered)
-    quad = np.einsum("ji,ji->i", solved, solved)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    liks = np.exp(-0.5 * (quad + log_det + model.dim * math.log(2.0 * math.pi)))
+    liks = np.exp(log_density(model, sq_mahalanobis(model, data.features)[:, class_i]))
 
     in_mask = data.in_mask()
     in_idx = np.nonzero(in_mask)[0]
@@ -162,18 +167,14 @@ def shift_stats(
     """Summaries of one snapshot against the frozen model and threshold."""
     features = np.asarray(features, dtype=float)
     in_mask = np.asarray(domain) == DOMAIN_IN
-    diff = features[:, None, :] - model.means[None, :, :]
-    b, k, d = diff.shape
-    solved = linalg.tri_solve_lower(model.chol, diff.reshape(b * k, d).T)
-    sq_mahal = np.einsum("ji,ji->i", solved, solved).reshape(b, k)
+    sq_mahal = sq_mahalanobis(model, features)
 
     out_rows = ~in_mask
     if out_rows.any():
         mean_norm_out = float(np.linalg.norm(features[out_rows], axis=1).mean())
-        mean_nearest_center_out = float(sq_mahal[out_rows].min(axis=1).mean())
-        log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-        best_log_dens = -0.5 * (sq_mahal[out_rows].min(axis=1) + log_det + d * math.log(2.0 * math.pi))
-        mixed_fraction = float(np.mean(np.exp(best_log_dens) > zeta))
+        nearest = sq_mahal[out_rows].min(axis=1)
+        mean_nearest_center_out = float(nearest.mean())
+        mixed_fraction = float(np.mean(np.exp(log_density(model, nearest)) > zeta))
     else:
         mean_norm_out = math.nan
         mean_nearest_center_out = math.nan

@@ -505,6 +505,8 @@ def _model_from_entries(entries: dict[str, str]) -> Model:
     if head_kind not in HEAD_KINDS:
         raise ValueError(f"unknown head kind {head_kind!r} in checkpoint")
     widths = tuple(int(w) for w in entries["backbone.widths"].split())
+    if any(w < 1 for w in widths):
+        raise ValueError(f"backbone widths {widths} must all be >= 1")
 
     def tensor(key: str, shape: tuple[int, ...]) -> np.ndarray:
         raw = entries[key].split()

@@ -96,9 +96,10 @@ class TestGenData:
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = write_ini(tmp_path / "c.ini", {"data": {"bogus": "1"}})
-        assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "bogus" in capsys.readouterr().err
+        for section, key, value in (("data", "bogus", "1"), ("output", "rng", "pcg64")):
+            cfg = write_ini(tmp_path / "c.ini", {section: {key: value}})
+            assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", {"nonsense": {"a": "1"}})
@@ -181,6 +182,17 @@ class TestMalformedInputFiles:
             )
             assert code == 4
             assert capsys.readouterr().err.startswith("io error:")
+
+    def test_zero_width_checkpoint_is_io_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini")
+        ckpt = tmp_path / "zero.txt"
+        ckpt.write_text(
+            "schema=oodlab-checkpoint-v1\nhead.kind=linear\nbackbone.widths=2 0\n"
+            "backbone.0.weight=\nbackbone.0.bias=\nhead.weight=\nhead.bias=\n"
+        )
+        code = cli.main(["export-features", "--config", cfg, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("io error:")
 
     @pytest.mark.parametrize(
         "mangle",

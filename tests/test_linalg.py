@@ -71,26 +71,42 @@ class TestTriSolve:
         x = linalg.tri_solve_lower(lower, rhs)
         np.testing.assert_allclose(lower @ x, rhs, atol=1e-10)
 
-    def test_transpose_solve(self):
+    def test_inverse_factor(self):
         rng = np.random.default_rng(8)
         lower = linalg.cholesky(random_spd(rng, 5))
-        rhs = rng.standard_normal(5)
-        x = linalg.tri_solve_lower_t(lower, rhs)
-        np.testing.assert_allclose(lower.T @ x, rhs, atol=1e-10)
+        _, inverse = linalg.whiten(lower, np.zeros((1, 5)), np.zeros((1, 5)))
+        np.testing.assert_allclose(lower @ inverse, np.eye(5), atol=1e-10)
+
+
+def sq_mahalanobis(lower, centers, z):
+    """(B, K) squared norms of the whitened residuals."""
+    v, _ = linalg.whiten(lower, centers, z)
+    return np.einsum("bkj,bkj->bk", v, v)
 
 
 class TestSpdQuadform:
+    """u.T (L L.T)^-1 u read off the whitening kernel, for every (row, center) pair."""
+
     def test_identity_is_squared_norm(self):
-        assert linalg.spd_quadform(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
+        z = np.array([[3.0, 4.0], [1.0, 1.0]])
+        centers = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]])
+        expected = np.array([[25.0, 20.0, 0.0], [2.0, 1.0, 13.0]])
+        assert sq_mahalanobis(np.eye(2), centers, z) == pytest.approx(expected)
 
     def test_explicit_inverse_example(self):
         lower = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         # Sigma^-1 = [[0.375, -0.25], [-0.25, 0.5]]
-        assert linalg.spd_quadform(lower, np.array([1.0, 0.0])) == pytest.approx(0.375)
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+        expected = np.array([[0.375, 0.0], [0.5, 1.375], [0.375, 0.5]])
+        assert sq_mahalanobis(lower, centers, z) == pytest.approx(expected)
 
     def test_zero_vector(self):
         lower = linalg.cholesky(random_spd(np.random.default_rng(3), 3))
-        assert linalg.spd_quadform(lower, np.zeros(3)) == 0.0
+        centers = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
+        got = sq_mahalanobis(lower, centers, centers)
+        assert got[0, 0] == 0.0 and got[1, 1] == 0.0
+        assert got[0, 1] > 0.0 and got[1, 0] > 0.0
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_matches_explicit_inverse(self, dim):
@@ -98,17 +114,21 @@ class TestSpdQuadform:
         for _ in range(20):
             a = random_spd(rng, dim)
             lower = linalg.cholesky(a)
-            u = rng.standard_normal(dim)
-            expected = u @ np.linalg.inv(a) @ u
-            got = linalg.spd_quadform(lower, u)
-            assert abs(got - expected) <= 1e-8 * max(1.0, abs(expected))
+            z = rng.standard_normal((4, dim))
+            centers = rng.standard_normal((3, dim))
+            u = z[:, None, :] - centers[None, :, :]
+            expected = np.einsum("bki,ij,bkj->bk", u, np.linalg.inv(a), u)
+            got = sq_mahalanobis(lower, centers, z)
+            assert np.all(np.abs(got - expected) <= 1e-8 * np.maximum(1.0, np.abs(expected)))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_nonnegative_and_even(self, seed, dim):
         rng = np.random.default_rng(seed)
         lower = linalg.cholesky(random_spd(rng, dim))
-        u = rng.standard_normal(dim)
-        value = linalg.spd_quadform(lower, u)
-        assert value >= 0.0
-        assert linalg.spd_quadform(lower, -u) == pytest.approx(value, rel=1e-12)
+        z = rng.standard_normal((3, dim))
+        centers = rng.standard_normal((2, dim))
+        value = sq_mahalanobis(lower, centers, z)
+        assert np.all(value >= 0.0)
+        # Reflecting both the rows and the centers negates every residual.
+        assert sq_mahalanobis(lower, -centers, -z) == pytest.approx(value, rel=1e-12)
