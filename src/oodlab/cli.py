@@ -10,7 +10,6 @@ to the ``run_meta.json`` sidecar. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -26,6 +25,8 @@ from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
 from .gda import (
     DOMAIN_IN,
     DOMAIN_OUT,
+    DegenerateCovariance,
+    EmptyClass,
     InvalidThreshold,
     LabeledSet,
     MalformedData,
@@ -66,7 +67,7 @@ def make_datasets(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, Lab
     train = sample_synthetic(d.mu, d.zeta, d.n, component_seed(d.seed, "train_data"), dims=d.dims)
     evald = sample_synthetic(d.mu, d.zeta, d.n, component_seed(d.seed, "eval_data"), dims=d.dims)
     eval_out = sample_cluster_family(
-        d.hard_centers(), d.hard_std, d.resolved_n_hard(), component_seed(d.seed, "hard_out")
+        d.hard_centers(), d.hard_std, d.n_hard, component_seed(d.seed, "hard_out")
     )
     return (
         _subset(train, train.in_mask()),
@@ -149,10 +150,12 @@ def cmd_simulate_shift(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def _write_metrics_csv(path, report, acc_in: float) -> None:
+    rows = [
+        ["auroc", "aupr", "fpr95", "n_in", "n_out", "acc_in"],
+        [*map(format_cell, (report.auroc, report.aupr, report.fpr95)), report.n_in, report.n_out, format_cell(acc_in)],
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["auroc", "aupr", "fpr95", "n_in", "n_out", "acc_in"])
-        writer.writerow([*map(format_cell, (report.auroc, report.aupr, report.fpr95)), report.n_in, report.n_out, format_cell(acc_in)])
+        fh.write("".join(join_cells(row) + CSV_END for row in rows))
 
 
 def cmd_train(config: ExperimentConfig, out_dir: str) -> int:
@@ -176,7 +179,7 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
         if kind not in criteria.KINDS:
             raise ConfigError(f"unknown criterion kind {kind!r} in --criteria")
     train_in, train_out, eval_in, eval_out = make_datasets(config)
-    rows = []
+    rows = [["criterion", "gamma", "aupr", "auroc", "fpr95", "acc_in"]]
     for kind in kinds:
         for gamma in gammas:
             run_cfg = dataclasses.replace(
@@ -196,10 +199,8 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
                 rows.append([kind, format_cell(gamma), nan, nan, nan, nan])
                 print(f"criterion={kind} gamma={gamma}: {exc}", file=sys.stderr)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "gamma", "aupr", "auroc", "fpr95", "acc_in"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} sweep rows to {out_dir}/sweep.csv")
+        fh.write("".join(join_cells(row) + CSV_END for row in rows))
+    print(f"wrote {len(rows) - 1} sweep rows to {out_dir}/sweep.csv")
     return 0
 
 
@@ -268,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-features":
             return cmd_export_features(config, out_dir, args.checkpoint)
         raise AssertionError(args.command)
-    except (ConfigError, InvalidThreshold, OneSidedThreshold, trainer.DegenerateData) as exc:
+    except (ConfigError, InvalidThreshold, OneSidedThreshold, trainer.DegenerateData, EmptyClass, DegenerateCovariance) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (trainer.NonFiniteLoss, NonFiniteState) as exc:

@@ -1,17 +1,21 @@
 """Experiment configs: flat INI sections with strict keys and documented defaults.
 
-Every run resolves its config (defaults filled, "auto" values made concrete)
-and writes the result next to its outputs as ``config.resolved.ini``; that
-file both documents the defaults in force and reproduces the run when fed
-back in. Unknown sections or keys are rejected. The single ``data.seed`` is
-the root of all randomness (see seeding.py for the derivation table) and can
-be overridden on the command line.
+``_KEYS`` is the one list of INI keys: it maps each ``(section, key)`` to the
+config part and field it sets and the parser of its text, in the order of
+``config.resolved.ini``. A key the file leaves out keeps its dataclass
+default, and each dataclass checks its own fields and resolves its own
+"auto" values when it is built. Every run writes the resolved config next to
+its outputs as ``config.resolved.ini``; that file both documents the defaults
+in force and reproduces the run when fed back in. Unknown sections or keys,
+and any key under ``[DEFAULT]``, are rejected. The single ``data.seed`` is the
+root of all randomness (see seeding.py for the derivation table) and can be
+overridden on the command line.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import criteria
 from .gda import ring_centers
-from .trainer import TrainConfig, resolve_head_kind, resolve_scorer
+from .trainer import TrainConfig
 
 # Threshold default: the two-cluster density at radius 2.5 from a center.
 DEFAULT_ZETA = math.exp(-3.125) / math.tau
@@ -42,8 +46,17 @@ class DataConfig:
     n_hard: int = -1  # -1 resolves to n // 2
     data_dir: str = ""  # when set, load gen-data CSVs instead of sampling inline
 
-    def resolved_n_hard(self) -> int:
-        return self.n // 2 if self.n_hard < 0 else self.n_hard
+    def __post_init__(self) -> None:
+        if self.mu <= 0 or self.zeta <= 0:
+            raise ValueError("[data] mu and zeta must be positive")
+        if self.n < 0 or self.dims < 2:
+            raise ValueError("[data] n must be >= 0 and dims >= 2")
+        if self.hard_clusters < 1 or self.hard_std <= 0:
+            raise ValueError("[data] hard_clusters must be >= 1 and hard_std positive")
+        if self.seed < 0:
+            raise ValueError(f"[data] seed must be >= 0, got {self.seed}")
+        if self.n_hard < 0:
+            object.__setattr__(self, "n_hard", self.n // 2)
 
     def hard_centers(self) -> np.ndarray:
         return ring_centers(self.hard_radius, self.hard_clusters, self.dims)
@@ -55,6 +68,12 @@ class ShiftConfig:
     lr: float = 0.05
     n_in: int = 200
     n_out: int = 200
+
+    def __post_init__(self) -> None:
+        if self.steps < 1 or self.n_in < 1 or self.n_out < 1:
+            raise ValueError("[shift] steps, n_in and n_out must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("[shift] lr must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,173 +89,122 @@ class ExperimentConfig:
     output: OutputConfig
 
 
-_SCHEMA = {
-    "data": ("mu", "zeta", "n", "dims", "seed", "hard_radius", "hard_std", "hard_clusters", "n_hard", "data_dir"),
-    "model": ("head", "hidden", "feature_dim"),
-    "criterion": ("kind", "lambda", "gamma"),
-    "training": ("schedule", "lr", "epochs", "batch_in", "batch_out", "momentum"),
-    "shift": ("steps", "lr", "n_in", "n_out"),
-    "eval": ("scorer", "aupr_positive"),
-    "output": ("dir", "hist_bins"),
-}
-
-
-def _parse_number(section: str, key: str, raw: str, kind):
-    try:
-        value = kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
     return value
 
 
-def _parse_hidden(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
+def _hidden(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",")) if raw else ()
+
+
+def _weight(raw: str) -> float | None:
+    return None if raw == "auto" else _finite(raw)
+
+
+# (section, key) -> (config part, field, parser), in config.resolved.ini order.
+# The parts are DataConfig, TrainConfig, its CriterionConfig, ShiftConfig and
+# OutputConfig; TrainConfig.seed is not a key, it always copies data.seed.
+_KEYS = {
+    ("data", "mu"): ("data", "mu", _finite),
+    ("data", "zeta"): ("data", "zeta", _finite),
+    ("data", "n"): ("data", "n", int),
+    ("data", "dims"): ("data", "dims", int),
+    ("data", "seed"): ("data", "seed", int),
+    ("data", "hard_radius"): ("data", "hard_radius", _finite),
+    ("data", "hard_std"): ("data", "hard_std", _finite),
+    ("data", "hard_clusters"): ("data", "hard_clusters", int),
+    ("data", "n_hard"): ("data", "n_hard", int),
+    ("data", "data_dir"): ("data", "data_dir", str),
+    ("model", "head"): ("train", "head", str),
+    ("model", "hidden"): ("train", "hidden", _hidden),
+    ("model", "feature_dim"): ("train", "feature_dim", int),
+    ("criterion", "kind"): ("criterion", "kind", str),
+    ("criterion", "lambda"): ("criterion", "lam", _weight),
+    ("criterion", "gamma"): ("train", "gamma", _finite),
+    ("training", "schedule"): ("train", "schedule", str),
+    ("training", "lr"): ("train", "initial_lr", _finite),
+    ("training", "epochs"): ("train", "epochs", int),
+    ("training", "batch_in"): ("train", "batch_in", int),
+    ("training", "batch_out"): ("train", "batch_out", int),
+    ("training", "momentum"): ("train", "momentum", _finite),
+    ("shift", "steps"): ("shift", "steps", int),
+    ("shift", "lr"): ("shift", "lr", _finite),
+    ("shift", "n_in"): ("shift", "n_in", int),
+    ("shift", "n_out"): ("shift", "n_out", int),
+    ("eval", "scorer"): ("train", "scorer", str),
+    ("eval", "aupr_positive"): ("train", "aupr_positive", str),
+    ("output", "dir"): ("output", "directory", str),
+    ("output", "hist_bins"): ("train", "hist_bins", int),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _read_keys(path) -> dict[str, dict[str, object]]:
+    """The parsed value of every key the file sets, grouped by config part."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        return tuple(int(part.strip()) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"[model] hidden: cannot parse {raw!r}") from exc
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        if parser.defaults():
+            raise ConfigError(f"[DEFAULT] keys are not supported, got {sorted(parser.defaults())}")
+        given: dict[str, dict[str, object]] = {part: {} for part, _, _ in _KEYS.values()}
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in parser[section].items():
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                part, field, parse = _KEYS[section, key]
+                try:
+                    given[part][field] = parse(raw.strip())
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return given
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate an INI experiment config.
 
     Raises ConfigError for unknown sections or keys, unparsable values, and
-    invalid combinations (e.g. an ice criterion on the linear head).
+    invalid values or combinations (e.g. an ice criterion on the linear head).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    def get(section: str, key: str, default: str) -> str:
-        return parser.get(section, key, fallback=default).strip()
-
-    data = DataConfig(
-        mu=_parse_number("data", "mu", get("data", "mu", "3.0"), float),
-        zeta=_parse_number("data", "zeta", get("data", "zeta", repr(DEFAULT_ZETA)), float),
-        n=_parse_number("data", "n", get("data", "n", "400"), int),
-        dims=_parse_number("data", "dims", get("data", "dims", "2"), int),
-        seed=_parse_number("data", "seed", get("data", "seed", "1234"), int),
-        hard_radius=_parse_number("data", "hard_radius", get("data", "hard_radius", "7.0"), float),
-        hard_std=_parse_number("data", "hard_std", get("data", "hard_std", "0.5"), float),
-        hard_clusters=_parse_number("data", "hard_clusters", get("data", "hard_clusters", "4"), int),
-        n_hard=_parse_number("data", "n_hard", get("data", "n_hard", "-1"), int),
-        data_dir=get("data", "data_dir", ""),
-    )
+    given = _read_keys(path)
     if seed_override is not None:
-        data = dataclasses.replace(data, seed=int(seed_override))
-    if data.mu <= 0 or data.zeta <= 0:
-        raise ConfigError("[data] mu and zeta must be positive")
-    if data.n < 0 or data.dims < 2:
-        raise ConfigError("[data] n must be >= 0 and dims >= 2")
-    if data.hard_clusters < 1 or data.hard_std <= 0:
-        raise ConfigError("[data] hard_clusters must be >= 1 and hard_std positive")
-
-    kind = get("criterion", "kind", "ice")
-    if kind not in criteria.KINDS:
-        raise ConfigError(f"[criterion] kind must be one of {criteria.KINDS}, got {kind!r}")
-    lam_raw = get("criterion", "lambda", "auto")
-    lam = None if lam_raw == "auto" else _parse_number("criterion", "lambda", lam_raw, float)
+        given["data"]["seed"] = seed_override
     try:
-        criterion = criteria.CriterionConfig(kind=kind, lam=lam)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    shift = ShiftConfig(
-        steps=_parse_number("shift", "steps", get("shift", "steps", "100"), int),
-        lr=_parse_number("shift", "lr", get("shift", "lr", "0.05"), float),
-        n_in=_parse_number("shift", "n_in", get("shift", "n_in", "200"), int),
-        n_out=_parse_number("shift", "n_out", get("shift", "n_out", "200"), int),
-    )
-    if shift.steps < 1 or shift.n_in < 1 or shift.n_out < 1:
-        raise ConfigError("[shift] steps, n_in and n_out must be >= 1")
-    if shift.lr <= 0:
-        raise ConfigError("[shift] lr must be positive")
-
-    output = OutputConfig(directory=get("output", "dir", "out"))
-
-    try:
-        train = TrainConfig(
-            criterion=criterion,
-            schedule=get("training", "schedule", "cosine"),
-            initial_lr=_parse_number("training", "lr", get("training", "lr", "0.01"), float),
-            epochs=_parse_number("training", "epochs", get("training", "epochs", "10"), int),
-            batch_in=_parse_number("training", "batch_in", get("training", "batch_in", "128"), int),
-            batch_out=_parse_number("training", "batch_out", get("training", "batch_out", "256"), int),
-            momentum=_parse_number("training", "momentum", get("training", "momentum", "0.9"), float),
-            seed=data.seed,
-            gamma=_parse_number("criterion", "gamma", get("criterion", "gamma", "1.0"), float),
-            head=get("model", "head", "auto"),
-            hidden=_parse_hidden(get("model", "hidden", "64,64")),
-            feature_dim=_parse_number("model", "feature_dim", get("model", "feature_dim", "8"), int),
-            scorer=get("eval", "scorer", "auto"),
-            aupr_positive=get("eval", "aupr_positive", "out"),
-            hist_bins=_parse_number("output", "hist_bins", get("output", "hist_bins", "20"), int),
+        data = DataConfig(**given["data"])
+        # CriterionConfig.kind has no default: a config that names no kind trains the paper's ice.
+        criterion = criteria.CriterionConfig(**{"kind": "ice", **given["criterion"]})
+        return ExperimentConfig(
+            data=data,
+            shift=ShiftConfig(**given["shift"]),
+            train=TrainConfig(criterion=criterion, seed=data.seed, **given["train"]),
+            output=OutputConfig(**given["output"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return ExperimentConfig(data=data, shift=shift, train=train, output=output)
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def resolved_ini(config: ExperimentConfig) -> str:
     """The config with every default filled in and every "auto" made concrete."""
-    train = config.train
-    head = resolve_head_kind(train.head, train.criterion)
-    scorer = resolve_scorer(train.scorer, head, train.criterion)
-    lines = [
-        "[data]",
-        f"mu = {config.data.mu!r}",
-        f"zeta = {config.data.zeta!r}",
-        f"n = {config.data.n}",
-        f"dims = {config.data.dims}",
-        f"seed = {config.data.seed}",
-        f"hard_radius = {config.data.hard_radius!r}",
-        f"hard_std = {config.data.hard_std!r}",
-        f"hard_clusters = {config.data.hard_clusters}",
-        f"n_hard = {config.data.resolved_n_hard()}",
-        f"data_dir = {config.data.data_dir}",
-        "",
-        "[model]",
-        f"head = {head}",
-        "hidden = " + ",".join(str(w) for w in train.hidden),
-        f"feature_dim = {train.feature_dim}",
-        "",
-        "[criterion]",
-        f"kind = {train.criterion.kind}",
-        f"lambda = {train.criterion.weight!r}",
-        f"gamma = {train.gamma!r}",
-        "",
-        "[training]",
-        f"schedule = {train.schedule}",
-        f"lr = {train.initial_lr!r}",
-        f"epochs = {train.epochs}",
-        f"batch_in = {train.batch_in}",
-        f"batch_out = {train.batch_out}",
-        f"momentum = {train.momentum!r}",
-        "",
-        "[shift]",
-        f"steps = {config.shift.steps}",
-        f"lr = {config.shift.lr!r}",
-        f"n_in = {config.shift.n_in}",
-        f"n_out = {config.shift.n_out}",
-        "",
-        "[eval]",
-        f"scorer = {scorer}",
-        f"aupr_positive = {train.aupr_positive}",
-        "",
-        "[output]",
-        f"dir = {config.output.directory}",
-        f"hist_bins = {train.hist_bins}",
-    ]
-    return "\n".join(lines) + "\n"
+    parts = {
+        "data": config.data,
+        "train": config.train,
+        "criterion": config.train.criterion,
+        "shift": config.shift,
+        "output": config.output,
+    }
+    blocks = []
+    for section, entries in itertools.groupby(_KEYS.items(), key=lambda entry: entry[0][0]):
+        lines = [f"{key} = {_text(getattr(parts[part], field))}\n" for (_, key), (part, field, _) in entries]
+        blocks.append(f"[{section}]\n" + "".join(lines))
+    return "\n".join(blocks)

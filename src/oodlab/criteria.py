@@ -56,17 +56,19 @@ class LossReport:
 @dataclass(frozen=True)
 class CriterionConfig:
     kind: str
-    lam: float | None = None  # None means the per-kind default
+    lam: float | None = None  # None resolves to the per-kind default on construction
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.lam is not None and self.lam < 0:
+            raise ValueError(f"criterion kind must be one of {KINDS}, got {self.kind!r}")
+        if self.lam is None:
+            object.__setattr__(self, "lam", DEFAULT_LAMBDA[self.kind])
+        if self.lam < 0:
             raise ValueError("lambda must be >= 0")
 
     @property
     def weight(self) -> float:
-        return DEFAULT_LAMBDA[self.kind] if self.lam is None else self.lam
+        return self.lam
 
     def needs_gaussian_head(self) -> bool:
         return self.kind in ("ice", "ice_minus")

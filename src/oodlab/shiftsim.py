@@ -12,7 +12,6 @@ files: every snapshot's features, one snapshot per write through
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -264,16 +263,9 @@ def trajectory_to_csv(trajectory: ShiftTrajectory, path) -> None:
 
 def stats_to_csv(trajectory: ShiftTrajectory, path) -> None:
     """One CSV row of ``ShiftStats`` per step; a statistic with no rows to average is ``NaN``."""
+    rows = [["step", "mean_norm_out", "mean_nearest_center_out", "mean_own_center_in", "mixed_fraction"]]
+    for step, st in enumerate(trajectory.stats):
+        values = (st.mean_norm_out, st.mean_nearest_center_out, st.mean_own_center_in, st.mixed_fraction)
+        rows.append([step, *map(format_cell, values)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_norm_out", "mean_nearest_center_out", "mean_own_center_in", "mixed_fraction"])
-        for step, st in enumerate(trajectory.stats):
-            writer.writerow(
-                [
-                    step,
-                    format_cell(st.mean_norm_out),
-                    format_cell(st.mean_nearest_center_out),
-                    format_cell(st.mean_own_center_in),
-                    format_cell(st.mixed_fraction),
-                ]
-            )
+        fh.write("".join(join_cells(row) + CSV_END for row in rows))

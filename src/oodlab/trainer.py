@@ -64,10 +64,10 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
     gamma: float = 1.0
-    head: str = "auto"  # auto | linear | gaussian
+    head: str = "auto"  # auto | linear | gaussian; auto is resolved on construction
     hidden: tuple[int, ...] = (64, 64)
     feature_dim: int = 8
-    scorer: str = "auto"  # auto | one of SCORERS
+    scorer: str = "auto"  # auto | one of SCORERS; auto is resolved on construction
     aupr_positive: str = DOMAIN_OUT
     hist_bins: int = 20
 
@@ -92,7 +92,8 @@ class TrainConfig:
             raise ValueError("aupr_positive must be 'in' or 'out'")
         if self.hist_bins < 1:
             raise ValueError("hist_bins must be >= 1")
-        resolve_head_kind(self.head, self.criterion)
+        object.__setattr__(self, "head", resolve_head_kind(self.head, self.criterion))
+        object.__setattr__(self, "scorer", resolve_scorer(self.scorer, self.head, self.criterion))
 
     @property
     def outlier_weight(self) -> float:
@@ -196,9 +197,8 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
         raise DegenerateData("need at least two classes")
     widths = (train_in.dim,) + tuple(config.hidden) + (config.feature_dim,)
     net = bb.init_mlp(widths, component_rng(config.seed, "backbone_init"))
-    head_kind = resolve_head_kind(config.head, config.criterion)
     head_rng = component_rng(config.seed, "head_init")
-    if head_kind == "gaussian":
+    if config.head == "gaussian":
         feats, _ = bb.forward_batch(net, train_in.features)
         class_means = np.zeros((n_classes, config.feature_dim))
         for k in range(n_classes):
@@ -209,7 +209,7 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
         head = heads.init_gaussian_head(config.feature_dim, n_classes, class_means=class_means)
     else:
         head = heads.init_linear_head(config.feature_dim, n_classes, head_rng)
-    return Model(backbone=net, head_kind=head_kind, head=head)
+    return Model(backbone=net, head_kind=config.head, head=head)
 
 
 def head_scores_batch(model: Model, feats: np.ndarray) -> np.ndarray:
@@ -331,7 +331,6 @@ def _hist_scorer(model: Model, criterion: criteria.CriterionConfig) -> str:
 def _epoch_log(
     model: Model,
     config: TrainConfig,
-    scorer: str,
     epoch: int,
     loss_in: float,
     loss_out: float,
@@ -351,8 +350,8 @@ def _epoch_log(
     if not np.all(np.isfinite(combined)):
         raise NonFiniteLoss(step)
     report = metrics.compute_report(
-        _scorer_values(scores_in, scorer),
-        _scorer_values(scores_out, scorer),
+        _scorer_values(scores_in, config.scorer),
+        _scorer_values(scores_out, config.scorer),
         aupr_positive=config.aupr_positive,
     )
     acc = float(np.mean(scores_in.argmax(axis=1) == eval_in.labels))
@@ -405,8 +404,6 @@ def train(
     use_out = config.criterion.kind != "plain" and weight > 0.0
     if use_out and len(train_out) == 0:
         raise DegenerateData(f"criterion {config.criterion.kind!r} needs outlier training data")
-    head_kind = resolve_head_kind(config.head, config.criterion)
-    scorer = resolve_scorer(config.scorer, head_kind, config.criterion)
     model = build_model(config, train_in)
 
     velocity = {name: np.zeros_like(arr) for name, arr in param_items(model)}
@@ -450,7 +447,6 @@ def train(
             _epoch_log(
                 model,
                 config,
-                scorer,
                 epoch,
                 epoch_loss_in / steps_per_epoch,
                 epoch_loss_out / steps_per_epoch,

@@ -102,8 +102,22 @@ class TestConfigValidation:
             assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
-        cfg = write_ini(tmp_path / "c.ini", {"nonsense": {"a": "1"}})
-        assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # configparser copies [DEFAULT] keys into every section, a second way to set a key.
+        for overrides, base in (({"nonsense": {"a": "1"}}, BASE), ({"DEFAULT": {"epochs": "1"}, "training": {}}, {})):
+            cfg = write_ini(tmp_path / "c.ini", overrides, base=base)
+            assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["mu = 3.0\n", "[data]\nmu = 3.0\nmu = 2.0\n", "[data]\ndata_dir = a%b\n"],
+        ids=["no_section_header", "duplicate_key", "bad_interpolation"],
+    )
+    def test_malformed_ini_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["gen-data", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")]) == 2
@@ -143,6 +157,11 @@ class TestDegenerateConfigs:
             ("train", {"training": {"lr": "inf"}}),
             ("train", {"data": {"zeta": "0"}}),
             ("simulate-shift", {"data": {"zeta": "1e-300"}}),
+            ("train", {"criterion": {"kind": "oe"}, "eval": {"scorer": "ice_conf"}}),
+            ("train", {"data": {"seed": "-1"}}),
+            ("simulate-shift", {"shift": {"n_in": "1"}}),
+            ("simulate-shift", {"shift": {"n_in": "2"}}),
+            ("demo-false-likelihood", {"data": {"n": "2"}}),
         ],
         ids=[
             "feature_dim",
@@ -159,11 +178,22 @@ class TestDegenerateConfigs:
             "lr_inf",
             "zeta_zero",
             "zeta_all_in",
+            "ice_conf_on_linear",
+            "negative_seed",
+            "shift_n_in_1",
+            "shift_n_in_2",
+            "demo_n_2",
         ],
     )
     def test_rejected_with_config_error(self, tmp_path, capsys, command, overrides):
         cfg = write_ini(tmp_path / "c.ini", overrides)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini")
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 

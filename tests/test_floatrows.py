@@ -1,5 +1,6 @@
 """Numeric output files against csv.writer over repr(float(v)) cells, byte for byte."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,25 @@ class TestTrajectoryCsv:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestStatsCsv:
+    @given(st.lists(st.lists(st.one_of(floats, st.just(math.nan)), min_size=4, max_size=4), max_size=6))
+    @SETTINGS
+    @example([[math.nan, math.nan, 0.5, 0.0], [-0.0, 5e-324, 1e308, 1.0]])
+    def test_matches_csv_writer(self, tmp_path, stats):
+        traj = shiftsim.ShiftTrajectory(
+            snapshots=np.zeros((len(stats), 0, 2)),
+            labels=np.zeros(0, dtype=int),
+            domain=np.zeros(0, dtype=str),
+            stats=[shiftsim.ShiftStats(*row) for row in stats],
+        )
+        path = tmp_path / "stats.csv"
+        shiftsim.stats_to_csv(traj, path)
+        rows = [["step", "mean_norm_out", "mean_nearest_center_out", "mean_own_center_in", "mixed_fraction"]]
+        for step, row in enumerate(stats):
+            rows.append([step] + ["NaN" if math.isnan(v) else float_cells([v])[0] for v in row])
+        assert path.read_bytes() == csv_writer_text(rows).encode()
 
 
 class TestLabeledSetCsv:
