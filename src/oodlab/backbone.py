@@ -93,22 +93,3 @@ def backward_batch(
         d_cur = d_pre @ layer.weight
     return grads, d_cur
 
-
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Feature vector z = Z(x) for one input, plus the backprop cache."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.in_dim,):
-        raise ValueError(f"input has shape {x.shape}, network expects ({params.in_dim},)")
-    z, cache = forward_batch(params, x[None, :])
-    return z[0], cache
-
-
-def mlp_backward(
-    params: MlpParams, cache: list, d_z: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Gradients for a single-sample cache produced by ``mlp_forward``."""
-    d_z = np.asarray(d_z, dtype=float)
-    if d_z.shape != (params.out_dim,):
-        raise ValueError(f"upstream has shape {d_z.shape}, expected ({params.out_dim},)")
-    grads, d_x = backward_batch(params, cache, d_z[None, :])
-    return grads, d_x[0]

@@ -30,7 +30,7 @@ class EmptyClass(ValueError):
 
 
 class DegenerateCovariance(ValueError):
-    """The pooled covariance is not positive-definite."""
+    """A fitted covariance, or a sampler's std^2 I, is not finite and positive-definite."""
 
 
 class InvalidThreshold(ValueError):
@@ -153,7 +153,8 @@ def fit_gda(data: LabeledSet) -> GdaModel:
 
     Raises:
         EmptyClass: some class in [0, max(label)+1) has no sample.
-        DegenerateCovariance: pooled covariance is not positive-definite.
+        DegenerateCovariance: the class means or the pooled covariance are
+            not finite, or the covariance is not positive-definite.
     """
     feats = data.in_features()
     labels = data.in_labels()
@@ -165,15 +166,19 @@ def fit_gda(data: LabeledSet) -> GdaModel:
     dim = feats.shape[1]
     means = np.zeros((n_classes, dim))
     scatter = np.zeros((dim, dim))
-    for k in range(n_classes):
-        rows = feats[labels == k]
-        if rows.shape[0] == 0:
-            raise EmptyClass(f"class {k} has no samples")
-        means[k] = rows.mean(axis=0)
-        centered = rows - means[k]
-        scatter += centered.T @ centered
-    cov = scatter / feats.shape[0]
-    cov = 0.5 * (cov + cov.T)
+    # Overflow near the float limit is reported by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_classes):
+            rows = feats[labels == k]
+            if rows.shape[0] == 0:
+                raise EmptyClass(f"class {k} has no samples")
+            means[k] = rows.mean(axis=0)
+            centered = rows - means[k]
+            scatter += centered.T @ centered
+        cov = scatter / feats.shape[0]
+        cov = 0.5 * (cov + cov.T)
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(cov))):
+        raise DegenerateCovariance("class means or pooled covariance overflow the float range")
     try:
         chol = linalg.cholesky(cov)
     except linalg.NotPositiveDefinite as exc:
@@ -237,7 +242,8 @@ def _two_cluster_densities(features: np.ndarray, mu: float) -> np.ndarray:
     centers = np.zeros((2, dims))
     centers[0, 0] = mu
     centers[1, 0] = -mu
-    sq = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):  # an overflowing distance is a density of exactly 0
+        sq = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return density_max(dims) * np.exp(-0.5 * sq)  # (n, 2)
 
 
@@ -275,6 +281,9 @@ def sample_cluster_family(centers: np.ndarray, std: float, n: int, seed: int) ->
 
     Used as the held-out "hard" OOD family for evaluation; every row is tagged
     "out". Draws cycle through the centers in order.
+
+    Raises:
+        DegenerateCovariance: ``std`` is so large that a draw is not finite.
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
@@ -283,7 +292,10 @@ def sample_cluster_family(centers: np.ndarray, std: float, n: int, seed: int) ->
         raise ValueError("std must be positive")
     rng = rng_from_seed(seed)
     picks = np.arange(n) % centers.shape[0]
-    features = centers[picks] + std * rng.standard_normal((n, centers.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = centers[picks] + std * rng.standard_normal((n, centers.shape[1]))
+    if not np.all(np.isfinite(features)):
+        raise DegenerateCovariance(f"std={std!r} scales the cluster draws past the float range")
     labels = np.full(n, NO_LABEL, dtype=int)
     domain = np.full(n, DOMAIN_OUT, dtype=object).astype(str)
     return LabeledSet(features.reshape(n, centers.shape[1]), labels, domain)

@@ -1,10 +1,15 @@
 """Classification heads: linear logits and Gaussian (Mahalanobis) scores.
 
-Both heads expose forward scores and hand-derived gradients with respect to
-the input feature and every parameter. The Gaussian head parameterizes the
-covariance through a lower-triangular factor whose diagonal is stored as
-unconstrained values and materialized through exp, so plain gradient descent
-can never leave the positive-definite cone.
+``forward`` and ``backward`` are the one interface to both heads' math: batch
+scores and hand-derived gradients with respect to the input features and
+every parameter, keyed by the params dataclass's field names. Training,
+checkpoints and the drift simulation reach a head only through them, its
+fields and its class constants (``KIND``, ``GRAD_NORM_BOUND``).
+
+The Gaussian head parameterizes the covariance through a lower-triangular
+factor whose diagonal is stored as unconstrained values and materialized
+through exp, so plain gradient descent can never leave the positive-definite
+cone.
 
 Index conventions used by the Gaussian-head math, with u_i = z - m_i:
     v_i = L^-1 u_i            whitened by ``linalg.whiten``; h_i = -|v_i|^2
@@ -15,7 +20,9 @@ The backward re-whitens instead of caching the forward's v: one matmul.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,6 +35,10 @@ class InvalidScore(ValueError):
 
 @dataclass
 class LinearHeadParams:
+    KIND: ClassVar[str] = "linear"
+    # Unbounded, so a diverging objective still ends in a non-finite loss.
+    GRAD_NORM_BOUND: ClassVar[float] = math.inf
+
     weight: np.ndarray  # (K, d)
     bias: np.ndarray  # (K,)
 
@@ -47,8 +58,9 @@ class LinearHeadParams:
     def dim(self) -> int:
         return self.weight.shape[1]
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.weight, self.bias)
+    @staticmethod
+    def shapes(n_classes: int, dim: int) -> dict[str, tuple[int, ...]]:
+        return {"weight": (n_classes, dim), "bias": (n_classes,)}
 
 
 @dataclass
@@ -59,6 +71,11 @@ class GaussianHeadParams:
     Off-diagonal entries are the factor entries themselves; diagonal entries
     are logs, materialized as exp so the factor diagonal stays positive.
     """
+
+    KIND: ClassVar[str] = "gaussian"
+    # Far from every center the tri_raw gradient grows with the squared
+    # distance; unclipped, one step can make exp overflow the factor.
+    GRAD_NORM_BOUND: ClassVar[float] = 10.0
 
     means: np.ndarray  # (K, d)
     tri_raw: np.ndarray  # (d, d), lower triangle meaningful
@@ -80,8 +97,9 @@ class GaussianHeadParams:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.means, self.tri_raw)
+    @staticmethod
+    def shapes(n_classes: int, dim: int) -> dict[str, tuple[int, ...]]:
+        return {"means": (n_classes, dim), "tri_raw": (dim, dim)}
 
     def materialize(self) -> np.ndarray:
         """The lower-triangular factor L with exp applied to the stored diagonal."""
@@ -100,102 +118,35 @@ class GaussianHeadParams:
         return cls(means=np.array(means, dtype=float), tri_raw=tri_raw)
 
 
-@dataclass(frozen=True)
-class HeadGradients:
-    """Gradient of a scalar loss with respect to the head input and parameters.
+HEAD_TYPES = {cls.KIND: cls for cls in (LinearHeadParams, GaussianHeadParams)}
 
-    ``d_params`` matches the owning params' ``arrays()`` order.
+
+def forward(head: LinearHeadParams | GaussianHeadParams, z: np.ndarray) -> np.ndarray:
+    """(B, K) scores of (B, d) features: logits w_i.T z + b_i, or Gaussian scores.
+
+    Gaussian scores are h_i = -(z - m_i).T (L L.T)^-1 (z - m_i), all <= 0.
     """
-
-    d_input: np.ndarray
-    d_params: tuple[np.ndarray, ...]
-
-
-def init_linear_head(dim: int, n_classes: int, rng: np.random.Generator) -> LinearHeadParams:
-    weight = 0.1 * rng.standard_normal((n_classes, dim))
-    return LinearHeadParams(weight=weight, bias=np.zeros(n_classes))
-
-
-def init_gaussian_head(
-    dim: int,
-    n_classes: int,
-    rng: np.random.Generator | None = None,
-    class_means: np.ndarray | None = None,
-) -> GaussianHeadParams:
-    """Means from supplied per-class feature means, else a small seeded normal.
-
-    The factor starts at the identity (tri_raw = 0), so initial scores read as
-    negative squared Euclidean distances.
-    """
-    if class_means is not None:
-        means = np.array(class_means, dtype=float)
-        if means.shape != (n_classes, dim):
-            raise ValueError(f"class_means must be ({n_classes}, {dim})")
-    else:
-        if rng is None:
-            raise ValueError("need an rng when class_means is not supplied")
-        means = 0.1 * rng.standard_normal((n_classes, dim))
-    return GaussianHeadParams(means=means, tri_raw=np.zeros((dim, dim)))
-
-
-# Linear head
-
-
-def linear_forward_batch(params: LinearHeadParams, z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=float) @ params.weight.T + params.bias
-
-
-def linear_forward(params: LinearHeadParams, z: np.ndarray) -> np.ndarray:
-    """Logits w_i.T z + b_i for one feature vector."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (params.dim,):
-        raise ValueError(f"feature has shape {z.shape}, head expects ({params.dim},)")
-    return linear_forward_batch(params, z[None, :])[0]
-
-def linear_backward_batch(
-    params: LinearHeadParams, z: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch gradients: returns (d_z, d_weight, d_bias), parameter grads summed over rows."""
-    z = np.asarray(z, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    d_z = upstream @ params.weight
-    d_weight = upstream.T @ z
-    d_bias = upstream.sum(axis=0)
-    return d_z, d_weight, d_bias
-
-
-def linear_backward(params: LinearHeadParams, z: np.ndarray, upstream: np.ndarray) -> HeadGradients:
-    """Gradients of a loss with upstream dL/df through the linear head."""
-    d_z, d_w, d_b = linear_backward_batch(params, np.asarray(z, float)[None, :], np.asarray(upstream, float)[None, :])
-    return HeadGradients(d_input=d_z[0], d_params=(d_w, d_b))
-
-
-# Gaussian head
-
-
-def gaussian_forward_batch(params: GaussianHeadParams, z: np.ndarray) -> np.ndarray:
-    v, _ = linalg.whiten(params.materialize(), params.means, z)
+    if isinstance(head, LinearHeadParams):
+        return z @ head.weight.T + head.bias
+    v, _ = linalg.whiten(head.materialize(), head.means, z)
     return -np.einsum("bkj,bkj->bk", v, v)
 
 
-def gaussian_forward(params: GaussianHeadParams, z: np.ndarray) -> np.ndarray:
-    """Scores h_i = -(z - m_i).T (L L.T)^-1 (z - m_i); all entries <= 0."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (params.dim,):
-        raise ValueError(f"feature has shape {z.shape}, head expects ({params.dim},)")
-    return gaussian_forward_batch(params, z[None, :])[0]
+def backward(
+    head: LinearHeadParams | GaussianHeadParams, z: np.ndarray, upstream: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradients of a loss with (B, K) upstream dL/dscores through ``forward``.
 
-
-def gaussian_backward_batch(
-    params: GaussianHeadParams, z: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch gradients: returns (d_z, d_means, d_tri_raw), parameter grads summed over rows.
-
-    The tri_raw gradient is chained through the exp materialization of the
-    diagonal.
+    Returns d_z (B, d) and one gradient per parameter field, keyed by field
+    name and summed over rows. The Gaussian tri_raw gradient is chained
+    through the exp materialization of the diagonal.
     """
+    z = np.asarray(z, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    v, inverse = linalg.whiten(params.materialize(), params.means, z)
+    if isinstance(head, LinearHeadParams):
+        return upstream @ head.weight, {"weight": upstream.T @ z, "bias": upstream.sum(axis=0)}
+    v, inverse = linalg.whiten(head.materialize(), head.means, z)
     b, k, d = v.shape
     flat_v = v.reshape(b * k, d)
     weighted_g = upstream.reshape(b * k, 1) * (flat_v @ inverse)  # one upstream-weighted g per (row, class)
@@ -203,21 +154,8 @@ def gaussian_backward_batch(
     d_means = 2.0 * weighted_g.reshape(b, k, d).sum(axis=0)
     d_factor = 2.0 * (weighted_g.T @ flat_v)
     d_tri = np.tril(d_factor, -1)
-    lower_diag = np.exp(np.diag(params.tri_raw))
-    np.fill_diagonal(d_tri, np.diag(d_factor) * lower_diag)
-    return d_z, d_means, d_tri
-
-
-def gaussian_backward(params: GaussianHeadParams, z: np.ndarray, upstream: np.ndarray) -> HeadGradients:
-    """Gradients of a loss with upstream dL/dh through the Gaussian head."""
-    z = np.asarray(z, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (params.n_classes,):
-        raise ValueError(f"upstream has shape {upstream.shape}, expected ({params.n_classes},)")
-    if not np.all(np.isfinite(upstream)):
-        raise ValueError("upstream gradient must be finite")
-    d_z, d_means, d_tri = gaussian_backward_batch(params, z[None, :], upstream[None, :])
-    return HeadGradients(d_input=d_z[0], d_params=(d_means, d_tri))
+    np.fill_diagonal(d_tri, np.diag(d_factor) * np.exp(np.diag(head.tri_raw)))
+    return d_z, {"means": d_means, "tri_raw": d_tri}
 
 
 def ice_confidence(h: np.ndarray) -> np.ndarray:

@@ -219,7 +219,6 @@ def run_shift_sim(
     if zeta is None:
         zeta = 0.5 * density_max(bank.dim)
     head = _frozen_head(criterion, head_source)
-    gaussian = isinstance(head, heads.GaussianHeadParams)
 
     feats = bank.features.copy()
     in_mask = bank.in_mask()
@@ -231,17 +230,11 @@ def run_shift_sim(
     for step in range(steps):
         # Overflow is reported through NonFiniteState, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            if gaussian:
-                scores = heads.gaussian_forward_batch(head, feats)
-            else:
-                scores = heads.linear_forward_batch(head, feats)
+            scores = heads.forward(head, feats)
             upstream = np.empty_like(scores)
             upstream[in_mask] = criteria.id_loss(criterion, scores[in_mask], labels[in_mask]).d_scores
             upstream[~in_mask] = criteria.ood_loss(criterion, scores[~in_mask]).d_scores
-            if gaussian:
-                d_feats, _, _ = heads.gaussian_backward_batch(head, feats, upstream)
-            else:
-                d_feats = upstream @ head.weight
+            d_feats, _ = heads.backward(head, feats, upstream)
             feats = feats - lr * d_feats
         if not np.all(np.isfinite(feats)):
             raise NonFiniteState(step)

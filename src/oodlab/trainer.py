@@ -2,7 +2,10 @@
 
 Each step draws a batch of in-distribution samples and an independent batch of
 outliers (the dual-loader protocol), forms the criterion's two branches, and
-applies one momentum-SGD update to every parameter. Evaluation runs per epoch:
+applies one momentum-SGD update to every parameter, with the global gradient
+norm clipped at the head's ``GRAD_NORM_BOUND``. The head is reached only
+through ``heads.forward``/``heads.backward`` and its params' fields, so no
+code here branches on its kind. Evaluation runs per epoch:
 it forwards each eval set once and reads accuracy, the detector metrics and a
 confidence (Gaussian-head methods) or max-logit (linear heads) histogram from
 those scores.
@@ -14,6 +17,7 @@ config itself.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +32,6 @@ from .seeding import component_rng
 
 SCHEDULES = ("cosine", "stairwise")
 SCORERS = ("msp", "max_logit", "energy_score", "ice_conf")
-HEAD_KINDS = ("linear", "gaussian")
 
 STAIRWISE_MILESTONES = (0.5, 0.75)  # fractions of total steps; each multiplies lr by 0.1
 
@@ -84,7 +87,7 @@ class TrainConfig:
             raise ValueError("initial_lr must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.head not in ("auto",) + HEAD_KINDS:
+        if self.head != "auto" and self.head not in heads.HEAD_TYPES:
             raise ValueError(f"unknown head kind {self.head!r}")
         if self.scorer not in ("auto",) + SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
@@ -111,7 +114,13 @@ def resolve_head_kind(head: str, criterion: criteria.CriterionConfig) -> str:
 def resolve_scorer(scorer: str, head_kind: str, criterion: criteria.CriterionConfig) -> str:
     if scorer == "auto":
         scorer = "ice_conf" if criterion.needs_gaussian_head() else "msp"
-    if scorer == "ice_conf" and head_kind != "gaussian":
+    return _check_scorer(scorer, head_kind)
+
+
+def _check_scorer(scorer: str, head_kind: str) -> str:
+    if scorer not in SCORERS:
+        raise IncompatibleScorer(f"unknown scorer {scorer!r}")
+    if scorer == "ice_conf" and head_kind != heads.GaussianHeadParams.KIND:
         raise IncompatibleScorer("ice_conf needs the gaussian head")
     return scorer
 
@@ -119,8 +128,11 @@ def resolve_scorer(scorer: str, head_kind: str, criterion: criteria.CriterionCon
 @dataclass
 class Model:
     backbone: bb.MlpParams
-    head_kind: str
     head: heads.LinearHeadParams | heads.GaussianHeadParams
+
+    @property
+    def head_kind(self) -> str:
+        return self.head.KIND
 
     @property
     def n_classes(self) -> int:
@@ -181,12 +193,8 @@ def param_items(model: Model) -> list[tuple[str, np.ndarray]]:
     for i, layer in enumerate(model.backbone.layers):
         items.append((f"backbone.{i}.weight", layer.weight))
         items.append((f"backbone.{i}.bias", layer.bias))
-    if model.head_kind == "linear":
-        items.append(("head.weight", model.head.weight))
-        items.append(("head.bias", model.head.bias))
-    else:
-        items.append(("head.means", model.head.means))
-        items.append(("head.tri_raw", model.head.tri_raw))
+    for field in dataclasses.fields(model.head):
+        items.append((f"head.{field.name}", getattr(model.head, field.name)))
     return items
 
 
@@ -197,25 +205,23 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
         raise DegenerateData("need at least two classes")
     widths = (train_in.dim,) + tuple(config.hidden) + (config.feature_dim,)
     net = bb.init_mlp(widths, component_rng(config.seed, "backbone_init"))
-    head_rng = component_rng(config.seed, "head_init")
-    if config.head == "gaussian":
-        feats, _ = bb.forward_batch(net, train_in.features)
-        class_means = np.zeros((n_classes, config.feature_dim))
-        for k in range(n_classes):
-            rows = feats[train_in.labels == k]
-            if rows.shape[0] == 0:
-                raise DegenerateData(f"class {k} has no training samples")
-            class_means[k] = rows.mean(axis=0)
-        head = heads.init_gaussian_head(config.feature_dim, n_classes, class_means=class_means)
+    if config.head == heads.GaussianHeadParams.KIND:
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats, _ = bb.forward_batch(net, train_in.features)
+            class_means = np.zeros((n_classes, config.feature_dim))
+            for k in range(n_classes):
+                rows = feats[train_in.labels == k]
+                if rows.shape[0] == 0:
+                    raise DegenerateData(f"class {k} has no training samples")
+                class_means[k] = rows.mean(axis=0)
+        if not np.all(np.isfinite(class_means)):
+            raise DegenerateData("class feature means overflow the float range")
+        # tri_raw = 0 is the identity factor: initial scores are negative squared distances.
+        head = heads.GaussianHeadParams(means=class_means, tri_raw=np.zeros((config.feature_dim,) * 2))
     else:
-        head = heads.init_linear_head(config.feature_dim, n_classes, head_rng)
-    return Model(backbone=net, head_kind=config.head, head=head)
-
-
-def head_scores_batch(model: Model, feats: np.ndarray) -> np.ndarray:
-    if model.head_kind == "linear":
-        return heads.linear_forward_batch(model.head, feats)
-    return heads.gaussian_forward_batch(model.head, feats)
+        weight = 0.1 * component_rng(config.seed, "head_init").standard_normal((n_classes, config.feature_dim))
+        head = heads.LinearHeadParams(weight=weight, bias=np.zeros(n_classes))
+    return Model(backbone=net, head=head)
 
 
 def features_batch(model: Model, x: np.ndarray) -> np.ndarray:
@@ -224,15 +230,12 @@ def features_batch(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def scores_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    return head_scores_batch(model, features_batch(model, x))
+    return heads.forward(model.head, features_batch(model, x))
 
 
 def score_samples(model: Model, x: np.ndarray, scorer: str) -> np.ndarray:
     """Per-sample detector confidence, higher meaning more in-distribution."""
-    if scorer not in SCORERS:
-        raise IncompatibleScorer(f"unknown scorer {scorer!r}")
-    if scorer == "ice_conf" and model.head_kind != "gaussian":
-        raise IncompatibleScorer("ice_conf needs the gaussian head")
+    _check_scorer(scorer, model.head_kind)
     return _scorer_values(scores_batch(model, x), scorer)
 
 
@@ -280,22 +283,15 @@ def batch_gradients(
     # the runtime warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         feats, cache = bb.forward_batch(model.backbone, x)
-        scores = head_scores_batch(model, feats)
+        scores = heads.forward(model.head, feats)
         in_rep = criteria.id_loss(criterion, scores[:n_in], in_y, weight)
         out_rep = criteria.ood_loss(criterion, scores[n_in:], weight)
         upstream = np.concatenate([in_rep.d_scores / n_in, out_rep.d_scores / max(n_out, 1)])
         loss_in = float(in_rep.value.mean())
         loss_out = float(out_rep.value.mean()) if n_out else 0.0
 
-        grads: dict[str, np.ndarray] = {}
-        if model.head_kind == "linear":
-            d_feats, d_w, d_b = heads.linear_backward_batch(model.head, feats, upstream)
-            grads["head.weight"] = d_w
-            grads["head.bias"] = d_b
-        else:
-            d_feats, d_means, d_tri = heads.gaussian_backward_batch(model.head, feats, upstream)
-            grads["head.means"] = d_means
-            grads["head.tri_raw"] = d_tri
+        d_feats, head_grads = heads.backward(model.head, feats, upstream)
+        grads = {f"head.{name}": grad for name, grad in head_grads.items()}
         layer_grads, _ = bb.backward_batch(model.backbone, cache, d_feats)
         for i, (d_weight, d_bias) in enumerate(layer_grads):
             grads[f"backbone.{i}.weight"] = d_weight
@@ -322,12 +318,6 @@ class _OutlierCycler:
         return np.asarray(picked, dtype=int)
 
 
-def _hist_scorer(model: Model, criterion: criteria.CriterionConfig) -> str:
-    if model.head_kind == "gaussian" and criterion.needs_gaussian_head():
-        return "ice_conf"
-    return "max_logit"
-
-
 def _epoch_log(
     model: Model,
     config: TrainConfig,
@@ -341,11 +331,14 @@ def _epoch_log(
     # Each eval set is forwarded once; every per-epoch figure reads these two
     # score matrices. They stay separate calls so the BLAS results match
     # score_samples on each set bit for bit.
-    scores_in = scores_batch(model, eval_in.features)
-    scores_out = scores_batch(model, eval_out.features)
-    hist_scorer = _hist_scorer(model, config.criterion)
-    conf_in = _scorer_values(scores_in, hist_scorer)
-    conf_out = _scorer_values(scores_out, hist_scorer)
+    # ICE always resolves to the Gaussian head, whose confidence lies in (0, 1].
+    hist_scorer = "ice_conf" if config.criterion.needs_gaussian_head() else "max_logit"
+    # As in batch_gradients, overflow surfaces as the NonFiniteLoss below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores_in = scores_batch(model, eval_in.features)
+        scores_out = scores_batch(model, eval_out.features)
+        conf_in = _scorer_values(scores_in, hist_scorer)
+        conf_out = _scorer_values(scores_out, hist_scorer)
     combined = np.concatenate([conf_in, conf_out])
     if not np.all(np.isfinite(combined)):
         raise NonFiniteLoss(step)
@@ -390,6 +383,9 @@ def train(
     the outlier set is cycled independently on its own stream. Everything is
     deterministic given the config (including its seed).
 
+    Each step's gradients are clipped after the finite-loss check;
+    ``batch_gradients`` itself stays raw.
+
     Raises:
         NonFiniteLoss: training is aborted the first time a batch loss is
             not finite (the expected failure mode of the unbounded energy
@@ -405,6 +401,7 @@ def train(
     if use_out and len(train_out) == 0:
         raise DegenerateData(f"criterion {config.criterion.kind!r} needs outlier training data")
     model = build_model(config, train_in)
+    bound = model.head.GRAD_NORM_BOUND
 
     velocity = {name: np.zeros_like(arr) for name, arr in param_items(model)}
     in_rng = component_rng(config.seed, "batch_in")
@@ -432,6 +429,10 @@ def train(
             )
             if not math.isfinite(loss_in + loss_out):
                 raise NonFiniteLoss(global_step)
+            grad_norm = math.sqrt(sum(float(np.vdot(grad, grad)) for grad in grads.values()))
+            if grad_norm > bound:
+                for grad in grads.values():
+                    grad *= bound / grad_norm
             lr = lr_at(config.schedule, config.initial_lr, global_step, total_steps)
             for name, arr in param_items(model):
                 vel = velocity[name]
@@ -497,9 +498,9 @@ def load_checkpoint(path) -> Model:
 def _model_from_entries(entries: dict[str, str]) -> Model:
     if entries.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {entries.get('schema')!r}")
-    head_kind = entries["head.kind"]
-    if head_kind not in HEAD_KINDS:
-        raise ValueError(f"unknown head kind {head_kind!r} in checkpoint")
+    head_type = heads.HEAD_TYPES.get(entries["head.kind"])
+    if head_type is None:
+        raise ValueError(f"unknown head kind {entries['head.kind']!r} in checkpoint")
     widths = tuple(int(w) for w in entries["backbone.widths"].split())
     if any(w < 1 for w in widths):
         raise ValueError(f"backbone widths {widths} must all be >= 1")
@@ -525,18 +526,9 @@ def _model_from_entries(entries: dict[str, str]) -> Model:
         )
     net = bb.MlpParams(layers=layers)
     dim = widths[-1]
-    if head_kind == "linear":
-        flat = entries["head.weight"].split()
-        n_classes = len(flat) // dim
-        head = heads.LinearHeadParams(
-            weight=tensor("head.weight", (n_classes, dim)),
-            bias=tensor("head.bias", (n_classes,)),
-        )
-    else:
-        flat = entries["head.means"].split()
-        n_classes = len(flat) // dim
-        head = heads.GaussianHeadParams(
-            means=tensor("head.means", (n_classes, dim)),
-            tri_raw=tensor("head.tri_raw", (dim, dim)),
-        )
-    return Model(backbone=net, head_kind=head_kind, head=head)
+    # The first head field is the per-class (K, d) array; it fixes K.
+    first = dataclasses.fields(head_type)[0].name
+    n_classes = len(entries[f"head.{first}"].split()) // dim
+    shapes = head_type.shapes(n_classes, dim)
+    head = head_type(**{name: tensor(f"head.{name}", shape) for name, shape in shapes.items()})
+    return Model(backbone=net, head=head)

@@ -3,13 +3,17 @@
 Everything here is deliberately brute force: central finite differences,
 O(n^2) pairwise counting, exhaustive threshold sweeps, and Bayes' rule spelled
 out with explicit densities. None of it shares code with the package paths it
-checks.
+checks, except the one-row helpers at the end: they push a single vector
+through the package's batch kernels, so finite differences can probe those
+kernels one input at a time.
 """
 
 import csv
 import io
 
 import numpy as np
+
+from oodlab import backbone, heads
 
 
 def central_difference(f, x, step=1e-5):
@@ -109,3 +113,26 @@ def csv_writer_text(rows):
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def head_row(head, z):
+    """``heads.forward`` scores of one (d,) feature vector, as a (K,) row."""
+    return heads.forward(head, np.asarray(z, dtype=float)[None, :])[0]
+
+
+def head_row_backward(head, z, upstream):
+    """``heads.backward`` for one row: (d_z, {param name: grad})."""
+    d_z, grads = heads.backward(head, np.asarray(z, dtype=float)[None, :], np.asarray(upstream, dtype=float)[None, :])
+    return d_z[0], grads
+
+
+def mlp_row(net, x):
+    """``backbone.forward_batch`` on one (in_dim,) input: its feature vector and cache."""
+    z, cache = backbone.forward_batch(net, np.asarray(x, dtype=float)[None, :])
+    return z[0], cache
+
+
+def mlp_row_backward(net, cache, d_z):
+    """``backbone.backward_batch`` for a one-row cache: per-layer grads and d_x."""
+    grads, d_x = backbone.backward_batch(net, cache, np.asarray(d_z, dtype=float)[None, :])
+    return grads, d_x[0]

@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 
 from oodlab import backbone, cli, criteria, gda, heads, metrics, trainer
-from oodlab.config import DEFAULT_ZETA
+from oodlab.config import DEFAULT_ZETA, load_config
 from oodlab.seeding import component_seed
 from oodlab.shiftsim import make_shift_bank, run_shift_sim
 from oracles import (
     bayes_posterior,
     central_difference,
+    head_row,
+    head_row_backward,
     max_rel_error,
+    mlp_row,
+    mlp_row_backward,
     pairwise_auroc,
     sweep_aupr,
     sweep_fpr_at_tpr,
@@ -169,19 +173,19 @@ class TestCriterion1GradientAudit:
             upstream = rng.standard_normal(k)
 
             lin = heads.LinearHeadParams(weight=rng.standard_normal((k, dim)), bias=rng.standard_normal(k))
-            lin_grads = heads.linear_backward(lin, z, upstream)
+            lin_d_z, lin_grads = head_row_backward(lin, z, upstream)
             worst = max(
                 worst,
                 max_rel_error(
-                    lin_grads.d_input,
-                    central_difference(lambda v: float(upstream @ heads.linear_forward(lin, v)), z, FD_STEP),
+                    lin_d_z,
+                    central_difference(lambda v: float(upstream @ head_row(lin, v)), z, FD_STEP),
                 ),
                 max_rel_error(
-                    lin_grads.d_params[0].ravel(),
+                    lin_grads["weight"].ravel(),
                     central_difference(
                         lambda v: float(
                             upstream
-                            @ heads.linear_forward(
+                            @ head_row(
                                 heads.LinearHeadParams(weight=v.reshape(k, dim), bias=lin.bias), z
                             )
                         ),
@@ -194,19 +198,19 @@ class TestCriterion1GradientAudit:
             gauss = heads.GaussianHeadParams(
                 means=rng.standard_normal((k, dim)), tri_raw=0.3 * rng.standard_normal((dim, dim))
             )
-            g_grads = heads.gaussian_backward(gauss, z, upstream)
+            g_d_z, g_grads = head_row_backward(gauss, z, upstream)
             worst = max(
                 worst,
                 max_rel_error(
-                    g_grads.d_input,
-                    central_difference(lambda v: float(upstream @ heads.gaussian_forward(gauss, v)), z, FD_STEP),
+                    g_d_z,
+                    central_difference(lambda v: float(upstream @ head_row(gauss, v)), z, FD_STEP),
                 ),
                 max_rel_error(
-                    g_grads.d_params[0].ravel(),
+                    g_grads["means"].ravel(),
                     central_difference(
                         lambda v: float(
                             upstream
-                            @ heads.gaussian_forward(
+                            @ head_row(
                                 heads.GaussianHeadParams(means=v.reshape(k, dim), tri_raw=gauss.tri_raw), z
                             )
                         ),
@@ -215,12 +219,12 @@ class TestCriterion1GradientAudit:
                     ),
                 ),
                 max_rel_error(
-                    g_grads.d_params[1],
+                    g_grads["tri_raw"],
                     np.tril(
                         central_difference(
                             lambda v: float(
                                 upstream
-                                @ heads.gaussian_forward(
+                                @ head_row(
                                     heads.GaussianHeadParams(means=gauss.means, tri_raw=v.reshape(dim, dim)), z
                                 )
                             ),
@@ -243,7 +247,7 @@ class TestCriterion1GradientAudit:
             while True:
                 net = backbone.init_mlp(widths, rng)
                 x = rng.standard_normal(widths[0])
-                _, cache = backbone.mlp_forward(net, x)
+                _, cache = mlp_row(net, x)
                 pre_margin = min(
                     float(np.min(np.abs(pre))) for layer, (_, pre) in zip(net.layers, cache)
                     if layer.activation == "relu"
@@ -251,14 +255,14 @@ class TestCriterion1GradientAudit:
                 if pre_margin > 1e-3:
                     break
             upstream = rng.standard_normal(widths[-1])
-            grads, d_x = backbone.mlp_backward(net, cache, upstream)
+            grads, d_x = mlp_row_backward(net, cache, upstream)
 
             worst = max(
                 worst,
                 max_rel_error(
                     d_x,
                     central_difference(
-                        lambda v: float(upstream @ backbone.mlp_forward(net, v)[0]), x, FD_STEP
+                        lambda v: float(upstream @ mlp_row(net, v)[0]), x, FD_STEP
                     ),
                 ),
             )
@@ -273,7 +277,7 @@ class TestCriterion1GradientAudit:
                     offset += size
                     layer.bias[...] = flat[offset : offset + layer.bias.size]
                     offset += layer.bias.size
-                value = float(upstream @ backbone.mlp_forward(net, x)[0])
+                value = float(upstream @ mlp_row(net, x)[0])
                 return value
 
             fd = central_difference(loss_of, flat0, FD_STEP)
@@ -460,6 +464,34 @@ class TestCriterion7DeskScaleEndToEnd:
             f"ice acc {ice_final.acc_in:.3f} >= 0.95, ice auroc {ice_final.report.auroc:.3f} >= 0.95, "
             f"plain acc {plain_final.acc_in:.3f} >= 0.95, msp auroc {plain_final.report.auroc:.3f} < ice",
             ok,
+        )
+
+
+class TestCriterion7SeedRobustness:
+    """Criterion 7's ICE run on ``configs/default.ini`` across a seed range fixed up front."""
+
+    SEEDS = range(10)
+
+    def test_every_seed_trains(self):
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+        weak = []
+        for seed in self.SEEDS:
+            config = load_config(path, seed_override=seed)
+            try:
+                _, logs = trainer.train(config.train, *cli.make_datasets(config))
+            except trainer.NonFiniteLoss as exc:
+                weak.append((seed, str(exc)))
+                continue
+            final = logs[-1]
+            if not (final.acc_in >= 0.9 and final.report.auroc >= 0.9):
+                weak.append((seed, f"acc {final.acc_in:.3f}, auroc {final.report.auroc:.3f}"))
+        check(
+            7,
+            f"ice on default.ini reaches acc >= 0.9 and auroc >= 0.9 with a finite loss on seeds "
+            f"{self.SEEDS.start}-{self.SEEDS.stop - 1} (weak: {weak})",
+            not weak,
         )
 
 

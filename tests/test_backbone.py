@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodlab import backbone
-from oracles import central_difference, max_rel_error
+from oracles import central_difference, max_rel_error, mlp_row, mlp_row_backward
 
 
 def random_net(rng, widths=None):
@@ -32,21 +32,21 @@ class TestForward:
                 backbone.Layer(weight=np.zeros((2, 3)), bias=np.zeros(2), activation="none"),
             ]
         )
-        z, _ = backbone.mlp_forward(net, np.array([5.0, -7.0]))
+        z, _ = mlp_row(net, np.array([5.0, -7.0]))
         np.testing.assert_allclose(z, np.zeros(2))
 
     def test_identity_single_layer(self):
         net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3), activation="none")])
         x = np.array([1.0, -2.0, 3.0])
-        z, _ = backbone.mlp_forward(net, x)
+        z, _ = mlp_row(net, x)
         np.testing.assert_allclose(z, x)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         net = random_net(rng)
         x = rng.standard_normal(net.in_dim)
-        z1, _ = backbone.mlp_forward(net, x)
-        z2, _ = backbone.mlp_forward(net, x)
+        z1, _ = mlp_row(net, x)
+        z2, _ = mlp_row(net, x)
         np.testing.assert_array_equal(z1, z2)
 
     def test_hidden_activations_nonnegative(self):
@@ -54,7 +54,7 @@ class TestForward:
         net = random_net(rng, widths=[3, 8, 8, 2])
         for _ in range(50):
             x = 3.0 * rng.standard_normal(3)
-            _, cache = backbone.mlp_forward(net, x)
+            _, cache = mlp_row(net, x)
             for layer, (_, pre) in zip(net.layers, cache):
                 if layer.activation == "relu":
                     assert np.all(np.maximum(pre, 0.0) >= 0.0)
@@ -65,7 +65,7 @@ class TestForward:
         xs = rng.standard_normal((5, 4))
         batch, _ = backbone.forward_batch(net, xs)
         for row, x in zip(batch, xs):
-            single, _ = backbone.mlp_forward(net, x)
+            single, _ = mlp_row(net, x)
             np.testing.assert_allclose(row, single)
 
     def test_final_activation_must_be_none(self):
@@ -78,8 +78,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         net = random_net(rng)
         x = rng.standard_normal(net.in_dim)
-        _, cache = backbone.mlp_forward(net, x)
-        grads, d_x = backbone.mlp_backward(net, cache, np.zeros(net.out_dim))
+        _, cache = mlp_row(net, x)
+        grads, d_x = mlp_row_backward(net, cache, np.zeros(net.out_dim))
         assert np.all(d_x == 0)
         for d_w, d_b in grads:
             assert np.all(d_w == 0) and np.all(d_b == 0)
@@ -87,9 +87,9 @@ class TestBackward:
     def test_identity_layer_passes_gradient(self):
         net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3), activation="none")])
         x = np.array([1.0, 2.0, 3.0])
-        _, cache = backbone.mlp_forward(net, x)
+        _, cache = mlp_row(net, x)
         d_z = np.array([0.1, -0.2, 0.3])
-        _, d_x = backbone.mlp_backward(net, cache, d_z)
+        _, d_x = mlp_row_backward(net, cache, d_z)
         np.testing.assert_allclose(d_x, d_z)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -99,10 +99,10 @@ class TestBackward:
         x = rng.standard_normal(3)
         upstream = rng.standard_normal(2)
 
-        _, cache = backbone.mlp_forward(net, x)
-        grads, d_x = backbone.mlp_backward(net, cache, upstream)
+        _, cache = mlp_row(net, x)
+        grads, d_x = mlp_row_backward(net, cache, upstream)
 
-        fd_x = central_difference(lambda xv: float(upstream @ backbone.mlp_forward(net, xv)[0]), x)
+        fd_x = central_difference(lambda xv: float(upstream @ mlp_row(net, xv)[0]), x)
         assert max_rel_error(d_x, fd_x) < 1e-5
 
         flat = flatten_params(net)
@@ -110,7 +110,7 @@ class TestBackward:
 
         def loss_of_params(fv):
             set_params(net, fv)
-            value = float(upstream @ backbone.mlp_forward(net, x)[0])
+            value = float(upstream @ mlp_row(net, x)[0])
             set_params(net, flat)
             return value
 

@@ -2,12 +2,15 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oodlab import cli
 from oodlab.config import DEFAULT_ZETA, load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "data": {
@@ -162,6 +165,9 @@ class TestDegenerateConfigs:
             ("simulate-shift", {"shift": {"n_in": "1"}}),
             ("simulate-shift", {"shift": {"n_in": "2"}}),
             ("demo-false-likelihood", {"data": {"n": "2"}}),
+            ("simulate-shift", {"data": {"mu": "1e308"}}),
+            ("train", {"data": {"mu": "1e308"}}),
+            ("train", {"data": {"hard_std": "1e308"}}),
         ],
         ids=[
             "feature_dim",
@@ -183,6 +189,9 @@ class TestDegenerateConfigs:
             "shift_n_in_1",
             "shift_n_in_2",
             "demo_n_2",
+            "shift_mu_1e308",
+            "train_mu_1e308",
+            "hard_std_1e308",
         ],
     )
     def test_rejected_with_config_error(self, tmp_path, capsys, command, overrides):
@@ -309,6 +318,12 @@ class TestTrain:
         )
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_default_config_seed_611_trains(self, tmp_path):
+        # A seed whose early Gaussian-head steps overflowed the factor before
+        # the gradient-norm clip.
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(CONFIGS / "default.ini"), "--out", str(out), "--seed", "611"]) == 0
+
     def test_train_from_data_dir(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")
         data_dir = tmp_path / "data"
@@ -346,6 +361,15 @@ class TestSweep:
             ("ice", "1.0"),
             ("ice", "3.0"),
         ]
+
+    def test_diverging_oe_writes_nan_row(self, tmp_path):
+        # The run overflows while an epoch is evaluated; that must surface as
+        # a NaN row, not as a RuntimeWarning (an error under this suite).
+        out = tmp_path / "o"
+        argv = ["sweep-lambda", "--config", str(CONFIGS / "sweep.ini"), "--out", str(out)]
+        assert cli.main(argv + ["--gammas", "1e6", "--criteria", "oe"]) == 0
+        rows = list(csv.DictReader(open(out / "sweep.csv")))
+        assert [(r["criterion"], r["auroc"], r["acc_in"]) for r in rows] == [("oe", "NaN", "NaN")]
 
     def test_empty_gammas_rejected(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")

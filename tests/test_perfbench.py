@@ -5,6 +5,7 @@ module calls in another, so a refactor inside ``src/`` can break it without
 any package test noticing.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,3 +22,14 @@ def test_benchmark_selftest_passes():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_per_layer_kernels_stay_traced():
+    # heads.forward_ms, heads.backward_ms and backbone.forward_ms read only
+    # the functions the tracer finds called across modules; a refactor that
+    # stops calling these by module attribute would silently zero them.
+    spec = importlib.util.spec_from_file_location("tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    calls = tracing.cross_module_calls(os.path.join(ROOT, "src"))
+    assert {("heads", "forward"), ("heads", "backward"), ("backbone", "forward_batch")} <= calls
