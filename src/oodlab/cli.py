@@ -48,33 +48,29 @@ from .shiftsim import (
 DATA_FILES = ("train_in.csv", "train_out.csv", "eval_in.csv", "eval_out.csv")
 
 
-def _subset(data: LabeledSet, mask: np.ndarray) -> LabeledSet:
-    return LabeledSet(data.features[mask], data.labels[mask], data.domain[mask])
-
-
 def make_datasets(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, LabeledSet, LabeledSet]:
     """(train_in, train_out, eval_in, eval_out) per the data config.
 
     Inline generation draws the train and eval splits from the two-cluster
     sampler on separate derived streams and builds the held-out "hard"
     outlier family for evaluation; with ``data_dir`` set, the four gen-data
-    CSVs are loaded instead.
+    CSVs are loaded instead, and a file holding a row of the other domain
+    raises MalformedData.
     """
     d = config.data
     if d.data_dir:
         paths = [os.path.join(d.data_dir, name) for name in DATA_FILES]
-        return tuple(LabeledSet.from_csv(p) for p in paths)  # type: ignore[return-value]
+        sets = tuple(LabeledSet.from_csv(p) for p in paths)
+        for path, data in zip(paths, sets):
+            if np.any(data.in_mask() != path.endswith("_in.csv")):
+                raise MalformedData(f"{path}: holds a row of the other domain")
+        return sets  # type: ignore[return-value]
     train = sample_synthetic(d.mu, d.zeta, d.n, component_seed(d.seed, "train_data"), dims=d.dims)
     evald = sample_synthetic(d.mu, d.zeta, d.n, component_seed(d.seed, "eval_data"), dims=d.dims)
     eval_out = sample_cluster_family(
         d.hard_centers(), d.hard_std, d.n_hard, component_seed(d.seed, "hard_out")
     )
-    return (
-        _subset(train, train.in_mask()),
-        _subset(train, ~train.in_mask()),
-        _subset(evald, evald.in_mask()),
-        eval_out,
-    )
+    return train.subset(train.in_mask()), train.subset(~train.in_mask()), evald.subset(evald.in_mask()), eval_out
 
 
 def _prepare_out(config: ExperimentConfig, out_dir: str) -> None:
@@ -175,29 +171,29 @@ def cmd_train(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float], kinds: list[str]) -> int:
     if not gammas:
         raise ConfigError("sweep needs at least one gamma")
-    for kind in kinds:
-        if kind not in criteria.KINDS:
-            raise ConfigError(f"unknown criterion kind {kind!r} in --criteria")
+    try:
+        cells = [
+            dataclasses.replace(
+                config.train, criterion=criteria.CriterionConfig(kind=kind), gamma=gamma, head="auto", scorer="auto"
+            )
+            for kind in kinds
+            for gamma in gammas
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"sweep cell: {exc}") from exc
     train_in, train_out, eval_in, eval_out = make_datasets(config)
     rows = [["criterion", "gamma", "aupr", "auroc", "fpr95", "acc_in"]]
-    for kind in kinds:
-        for gamma in gammas:
-            run_cfg = dataclasses.replace(
-                config.train,
-                criterion=criteria.CriterionConfig(kind=kind),
-                gamma=float(gamma),
-                head="auto",
-                scorer="auto",
-            )
-            try:
-                _, logs = trainer.train(run_cfg, train_in, train_out, eval_in, eval_out)
-                final = logs[-1]
-                report = final.report
-                rows.append([kind, *map(format_cell, (gamma, report.aupr, report.auroc, report.fpr95, final.acc_in))])
-            except trainer.NonFiniteLoss as exc:
-                nan = format_cell(math.nan)
-                rows.append([kind, format_cell(gamma), nan, nan, nan, nan])
-                print(f"criterion={kind} gamma={gamma}: {exc}", file=sys.stderr)
+    for run_cfg in cells:
+        kind, gamma = run_cfg.criterion.kind, run_cfg.gamma
+        try:
+            _, logs = trainer.train(run_cfg, train_in, train_out, eval_in, eval_out)
+            final = logs[-1]
+            report = final.report
+            rows.append([kind, *map(format_cell, (gamma, report.aupr, report.auroc, report.fpr95, final.acc_in))])
+        except trainer.NonFiniteLoss as exc:
+            nan = format_cell(math.nan)
+            rows.append([kind, format_cell(gamma), nan, nan, nan, nan])
+            print(f"criterion={kind} gamma={gamma}: {exc}", file=sys.stderr)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         fh.write("".join(join_cells(row) + CSV_END for row in rows))
     print(f"wrote {len(rows) - 1} sweep rows to {out_dir}/sweep.csv")

@@ -1,18 +1,20 @@
 """Class-conditional Gaussians with tied covariance, and the synthetic data generators.
 
 Covers fitting (per-class means, pooled MLE covariance), the closed-form linear
-discriminant that the Gaussian assumption induces, density/posterior
-evaluation, and the two-cluster in/out sampler where a draw counts as
-in-distribution when its best class-conditional density clears a threshold.
-A ``LabeledSet`` is stored as a CSV file (the ``gen-data`` output), written
-through ``floatrows.write_csv_rows`` and read back by ``LabeledSet.from_csv``.
+discriminant that the Gaussian assumption induces, squared Mahalanobis
+distances and log-densities, and the two-cluster in/out sampler where a draw
+counts as in-distribution when its best class-conditional density clears a
+threshold. A ``LabeledSet`` row is in-distribution exactly when its label is
+>= 0; out rows carry ``NO_LABEL``. The set is stored as a CSV file (the
+``gen-data`` output), written through ``floatrows.write_csv_rows`` and read
+back by ``LabeledSet.from_csv``, which checks each row's tag against its label.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,32 +45,30 @@ class MalformedData(ValueError):
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Parallel arrays of features, class labels, and in/out domain tags.
+    """Features and class labels; a row is in-distribution exactly when its label is >= 0.
 
-    ``labels`` is NO_LABEL wherever ``domain`` is "out".
+    Out rows carry ``NO_LABEL``. ``domain`` is derived once from ``labels``:
+    the row's "in"/"out" tag, as the CSV files write it.
     """
 
     features: np.ndarray  # (n, d) float
-    labels: np.ndarray  # (n,) int
-    domain: np.ndarray  # (n,) str, "in" or "out"
+    labels: np.ndarray  # (n,) int, NO_LABEL on out rows
+    domain: np.ndarray = field(init=False)  # (n,) str, "in" or "out"
 
     def __post_init__(self) -> None:
         f = np.asarray(self.features, dtype=float)
         l = np.asarray(self.labels, dtype=int)
-        d = np.asarray(self.domain)
         if f.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {f.shape}")
-        if l.shape != (f.shape[0],) or d.shape != (f.shape[0],):
-            raise ValueError("features, labels and domain must have equal length")
+        if l.shape != (f.shape[0],):
+            raise ValueError("features and labels must have equal length")
         if not np.all(np.isfinite(f)):
             raise ValueError("features must be finite")
-        if not np.all((d == DOMAIN_IN) | (d == DOMAIN_OUT)):
-            raise ValueError("domain tags must be 'in' or 'out'")
-        if np.any(l[d == DOMAIN_IN] < 0):
-            raise ValueError("in-distribution rows need a non-negative label")
+        if np.any(l < NO_LABEL):
+            raise ValueError(f"labels must be >= {NO_LABEL}")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", l)
-        object.__setattr__(self, "domain", d)
+        object.__setattr__(self, "domain", np.where(l >= 0, DOMAIN_IN, DOMAIN_OUT))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -78,21 +78,16 @@ class LabeledSet:
         return self.features.shape[1]
 
     def in_mask(self) -> np.ndarray:
-        return self.domain == DOMAIN_IN
+        return self.labels >= 0
 
-    def in_features(self) -> np.ndarray:
-        return self.features[self.in_mask()]
-
-    def in_labels(self) -> np.ndarray:
-        return self.labels[self.in_mask()]
-
-    def out_features(self) -> np.ndarray:
-        return self.features[~self.in_mask()]
+    def subset(self, rows) -> "LabeledSet":
+        """The rows selected by a boolean mask or an index array, in that order."""
+        return LabeledSet(self.features[rows], self.labels[rows])
 
     def to_csv(self, path) -> None:
         """Write ``x0,...,label,domain`` rows; the label cell is empty on out rows."""
         tail = [
-            join_cells([label if tag == DOMAIN_IN else "", tag])
+            join_cells([label if label >= 0 else "", tag])
             for label, tag in zip(self.labels.tolist(), self.domain.tolist())
         ]
         with open(path, "w", newline="") as fh:
@@ -101,8 +96,11 @@ class LabeledSet:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSet":
-        """Read a ``to_csv`` file; raises MalformedData on bad content, OSError if unreadable."""
-        feats, labels, domain = [], [], []
+        """Read a ``to_csv`` file; raises MalformedData on bad content, OSError if unreadable.
+
+        Bad content includes a domain tag that disagrees with the row's label.
+        """
+        feats, labels = [], []
         try:
             with open(path, newline="") as fh:
                 reader = csv.reader(fh)
@@ -114,10 +112,13 @@ class LabeledSet:
                     if len(row) != dim + 2:
                         raise ValueError(f"line {reader.line_num} has {len(row)} fields, expected {dim + 2}")
                     feats.append([float(v) for v in row[:dim]])
-                    labels.append(int(row[dim]) if row[dim] != "" else NO_LABEL)
-                    domain.append(row[dim + 1])
+                    label = int(row[dim]) if row[dim] != "" else NO_LABEL
+                    tag = row[dim + 1]
+                    if tag != (DOMAIN_IN if label >= 0 else DOMAIN_OUT):
+                        raise ValueError(f"line {reader.line_num}: domain {tag!r} disagrees with label {row[dim]!r}")
+                    labels.append(label)
             features = np.asarray(feats, dtype=float).reshape(len(feats), dim)
-            return cls(features, np.asarray(labels, dtype=int), np.asarray(domain))
+            return cls(features, np.asarray(labels, dtype=int))
         except (ValueError, csv.Error) as exc:
             raise MalformedData(f"{path}: {exc}") from exc
 
@@ -156,8 +157,8 @@ def fit_gda(data: LabeledSet) -> GdaModel:
         DegenerateCovariance: the class means or the pooled covariance are
             not finite, or the covariance is not positive-definite.
     """
-    feats = data.in_features()
-    labels = data.in_labels()
+    data = data.subset(data.in_mask())
+    feats, labels = data.features, data.labels
     if feats.shape[0] == 0:
         raise EmptyClass("no in-distribution samples")
     n_classes = int(labels.max()) + 1
@@ -210,31 +211,9 @@ def log_density(model: GdaModel, sq_mahal: np.ndarray) -> np.ndarray:
     return -0.5 * (sq_mahal + log_det + model.dim * math.log(2.0 * math.pi))
 
 
-def class_likelihood(model: GdaModel, z: np.ndarray, i: int) -> float:
-    """Multivariate normal density N(z; mu_i, Sigma)."""
-    if not 0 <= i < model.n_classes:
-        raise ValueError(f"class index {i} out of range for K={model.n_classes}")
-    z = np.asarray(z, dtype=float)
-    return math.exp(log_density(model, sq_mahalanobis(model, z[None, :]))[0, i])
-
-
-def posterior(model: GdaModel, z: np.ndarray) -> np.ndarray:
-    """Class posterior under uniform priors, via softmax of the closed-form scores."""
-    w_hat, b_hat = closed_form_discriminant(model)
-    scores = w_hat @ np.asarray(z, dtype=float) + b_hat
-    shifted = scores - scores.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
-
-
 def density_max(dims: int) -> float:
     """Peak value of a unit-covariance Gaussian density in ``dims`` dimensions."""
     return (2.0 * math.pi) ** (-dims / 2.0)
-
-
-def density_at_radius(radius: float, dims: int = 2) -> float:
-    """Unit-covariance Gaussian density at distance ``radius`` from its mean."""
-    return density_max(dims) * math.exp(-0.5 * radius * radius)
 
 
 def _two_cluster_densities(features: np.ndarray, mu: float) -> np.ndarray:
@@ -250,13 +229,14 @@ def _two_cluster_densities(features: np.ndarray, mu: float) -> np.ndarray:
 def sample_synthetic(mu: float, zeta: float, n: int, seed: int, dims: int = 2) -> LabeledSet:
     """Draw alternately from two unit-covariance Gaussians at (+-mu, 0, ...).
 
-    A draw is tagged "in" with the drawing class as its label when its best
-    class-conditional density exceeds ``zeta``, otherwise "out" (label absent).
+    A draw is in-distribution, labelled with its drawing class, when its best
+    class-conditional density exceeds ``zeta``; otherwise it is an outlier
+    labelled NO_LABEL.
     Deterministic for a given (mu, zeta, n, seed, dims).
 
     Raises:
         InvalidThreshold: when zeta >= the class density maximum, so that no
-            draw could ever be tagged in-distribution.
+            draw could ever be in-distribution.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -271,16 +251,14 @@ def sample_synthetic(mu: float, zeta: float, n: int, seed: int, dims: int = 2) -
     features[:, 0] += np.where(classes == 0, mu, -mu)
     dens = _two_cluster_densities(features, mu)
     is_in = dens.max(axis=1) > zeta if n else np.zeros(0, dtype=bool)
-    labels = np.where(is_in, classes, NO_LABEL)
-    domain = np.where(is_in, DOMAIN_IN, DOMAIN_OUT)
-    return LabeledSet(features, labels, domain)
+    return LabeledSet(features, np.where(is_in, classes, NO_LABEL))
 
 
 def sample_cluster_family(centers: np.ndarray, std: float, n: int, seed: int) -> LabeledSet:
     """Outlier-only draws from isotropic Gaussians placed at ``centers``.
 
-    Used as the held-out "hard" OOD family for evaluation; every row is tagged
-    "out". Draws cycle through the centers in order.
+    Used as the held-out "hard" OOD family for evaluation; every row carries
+    NO_LABEL. Draws cycle through the centers in order.
 
     Raises:
         DegenerateCovariance: ``std`` is so large that a draw is not finite.
@@ -296,9 +274,7 @@ def sample_cluster_family(centers: np.ndarray, std: float, n: int, seed: int) ->
         features = centers[picks] + std * rng.standard_normal((n, centers.shape[1]))
     if not np.all(np.isfinite(features)):
         raise DegenerateCovariance(f"std={std!r} scales the cluster draws past the float range")
-    labels = np.full(n, NO_LABEL, dtype=int)
-    domain = np.full(n, DOMAIN_OUT, dtype=object).astype(str)
-    return LabeledSet(features.reshape(n, centers.shape[1]), labels, domain)
+    return LabeledSet(features.reshape(n, centers.shape[1]), np.full(n, NO_LABEL, dtype=int))
 
 
 def ring_centers(radius: float, count: int, dims: int = 2) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import criteria, heads
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
 from .gda import (
     DOMAIN_IN,
+    DOMAIN_OUT,
     GdaModel,
     LabeledSet,
     closed_form_discriminant,
@@ -79,8 +80,7 @@ class ShiftStats:
 @dataclass(frozen=True)
 class ShiftTrajectory:
     snapshots: np.ndarray  # (steps + 1, n, d)
-    labels: np.ndarray  # (n,)
-    domain: np.ndarray  # (n,)
+    labels: np.ndarray  # (n,), NO_LABEL on out rows
     stats: list[ShiftStats]
 
     @property
@@ -152,7 +152,7 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
         out_rows = np.nonzero(~data.in_mask())[0]
         if len(in_rows) >= n_in and len(out_rows) >= n_out:
             keep = np.concatenate([in_rows[:n_in], out_rows[:n_out]])
-            return LabeledSet(data.features[keep], data.labels[keep], data.domain[keep])
+            return data.subset(keep)
         batch *= 2
     raise OneSidedThreshold(
         f"zeta={zeta!r} tags {len(in_rows)} in and {len(out_rows)} out rows of {len(data)} draws; "
@@ -241,13 +241,14 @@ def run_shift_sim(
         snapshots[step + 1] = feats
         stats.append(shift_stats(feats, labels, bank.domain, head_source, zeta))
 
-    return ShiftTrajectory(snapshots=snapshots, labels=labels.copy(), domain=bank.domain.copy(), stats=stats)
+    return ShiftTrajectory(snapshots=snapshots, labels=labels.copy(), stats=stats)
 
 
 def trajectory_to_csv(trajectory: ShiftTrajectory, path) -> None:
     """One CSV row per (step, sample): ``step,idx,domain,x0,...``, one snapshot per write."""
     dim = trajectory.snapshots.shape[2]
-    idx_domain = [join_cells([idx, tag]) for idx, tag in enumerate(trajectory.domain.tolist())]
+    tags = np.where(trajectory.labels >= 0, DOMAIN_IN, DOMAIN_OUT).tolist()
+    idx_domain = [join_cells([idx, tag]) for idx, tag in enumerate(tags)]
     with open(path, "w", newline="") as fh:
         fh.write(join_cells(["step", "idx", "domain"] + [f"x{j}" for j in range(dim)]) + CSV_END)
         for step, snapshot in enumerate(trajectory.snapshots):

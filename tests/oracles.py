@@ -3,17 +3,22 @@
 Everything here is deliberately brute force: central finite differences,
 O(n^2) pairwise counting, exhaustive threshold sweeps, and Bayes' rule spelled
 out with explicit densities. None of it shares code with the package paths it
-checks, except the one-row helpers at the end: they push a single vector
-through the package's batch kernels, so finite differences can probe those
-kernels one input at a time.
+checks, except the one-row helpers at the end. ``head_row``,
+``head_row_backward``, ``mlp_row`` and ``mlp_row_backward`` push a single
+vector through the package's batch kernels, so finite differences can probe
+those kernels one input at a time. ``class_likelihood``, ``posterior`` and
+``density_at_radius`` are the per-sample Gaussian forms, built on
+``gda.sq_mahalanobis``/``gda.log_density``, ``gda.closed_form_discriminant``
+and ``gda.density_max``, so the explicit-density oracles above can check them.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from oodlab import backbone, heads
+from oodlab import backbone, gda, heads
 
 
 def central_difference(f, x, step=1e-5):
@@ -136,3 +141,22 @@ def mlp_row_backward(net, cache, d_z):
     """``backbone.backward_batch`` for a one-row cache: per-layer grads and d_x."""
     grads, d_x = backbone.backward_batch(net, cache, np.asarray(d_z, dtype=float)[None, :])
     return grads, d_x[0]
+
+
+def class_likelihood(model, z, i):
+    """N(z; mu_i, Sigma) of one (d,) vector, via ``gda.sq_mahalanobis`` and ``gda.log_density``."""
+    sq = gda.sq_mahalanobis(model, np.asarray(z, dtype=float)[None, :])
+    return math.exp(gda.log_density(model, sq)[0, i])
+
+
+def posterior(model, z):
+    """Class posterior of one (d,) vector under uniform priors: softmax of the closed-form scores."""
+    w_hat, b_hat = gda.closed_form_discriminant(model)
+    scores = w_hat @ np.asarray(z, dtype=float) + b_hat
+    expd = np.exp(scores - scores.max())
+    return expd / expd.sum()
+
+
+def density_at_radius(radius, dims=2):
+    """Unit-covariance Gaussian density at distance ``radius`` from its mean."""
+    return gda.density_max(dims) * math.exp(-0.5 * radius * radius)

@@ -18,12 +18,14 @@ from oodlab.shiftsim import make_shift_bank, run_shift_sim
 from oracles import (
     bayes_posterior,
     central_difference,
+    class_likelihood,
     head_row,
     head_row_backward,
     max_rel_error,
     mlp_row,
     mlp_row_backward,
     pairwise_auroc,
+    posterior,
     sweep_aupr,
     sweep_fpr_at_tpr,
 )
@@ -42,7 +44,7 @@ def check(number, description, condition):
 
 
 def subset(data, mask):
-    return gda.LabeledSet(data.features[mask], data.labels[mask], data.domain[mask])
+    return data.subset(mask)
 
 
 def desk_splits(seed=1234, n=2000, n_hard=1000):
@@ -375,12 +377,12 @@ class TestCriterion4GdaEquivalence:
                 feats.append(centers[k] + rng.standard_normal((count, dim)))
                 labels.extend([k] * count)
             feats = np.vstack(feats)
-            data = gda.LabeledSet(feats, np.asarray(labels), np.array(["in"] * len(feats)))
+            data = gda.LabeledSet(feats, np.asarray(labels))
             model = gda.fit_gda(data)
 
             for _ in range(10):
                 z = feats[int(rng.integers(len(feats)))] + rng.standard_normal(dim)
-                post = gda.posterior(model, z)
+                post = posterior(model, z)
                 worst_post = max(
                     worst_post, float(np.max(np.abs(post - bayes_posterior(z, model.means, model.tied_cov))))
                 )
@@ -389,7 +391,7 @@ class TestCriterion4GdaEquivalence:
             for z in feats:
                 linear_pick = int(np.argmax(w_hat @ z + b_hat))
                 lik_pick = int(
-                    np.argmax([gda.class_likelihood(model, z, i) for i in range(model.n_classes)])
+                    np.argmax([class_likelihood(model, z, i) for i in range(model.n_classes)])
                 )
                 if linear_pick != lik_pick:
                     argmax_ok = False

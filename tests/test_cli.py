@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodlab import cli
+from oodlab import cli, trainer
 from oodlab.config import DEFAULT_ZETA, load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -251,6 +251,31 @@ class TestMalformedInputFiles:
         assert cli.main(["train", "--config", cfg2, "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err.startswith("io error:")
 
+    @pytest.mark.parametrize(
+        "name, label, tag",
+        [
+            ("train_in.csv", "", "out"),
+            ("eval_in.csv", "", "out"),
+            ("eval_out.csv", "5", "out"),
+            ("train_out.csv", "0", "in"),
+            ("train_out.csv", "-2", "out"),
+        ],
+    )
+    def test_wrong_domain_row_is_io_error(self, tmp_path, capsys, name, label, tag):
+        # A row of the other domain in a split file, or a tag that disagrees
+        # with the row's label cell.
+        cfg = write_ini(tmp_path / "c.ini")
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(data_dir)]) == 0
+        path = data_dir / name
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-2] + [label, tag])
+        path.write_text("\n".join(lines) + "\n")
+        cfg2 = write_ini(tmp_path / "c2.ini", {"data": {"data_dir": str(data_dir)}})
+        assert cli.main(["train", "--config", cfg2, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and name in err
+
 
 class TestDemoFalseLikelihood:
     def test_pair_found_and_machine_checkable(self, tmp_path):
@@ -370,6 +395,20 @@ class TestSweep:
         assert cli.main(argv + ["--gammas", "1e6", "--criteria", "oe"]) == 0
         rows = list(csv.DictReader(open(out / "sweep.csv")))
         assert [(r["criterion"], r["auroc"], r["acc_in"]) for r in rows] == [("oe", "NaN", "NaN")]
+
+    @pytest.mark.parametrize("kinds, gammas", [("oe,bogus", "1"), ("oe", "1,-1")], ids=["bad_kind", "negative_gamma"])
+    def test_bad_cell_rejected_before_training(self, tmp_path, capsys, monkeypatch, kinds, gammas):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before every sweep cell was checked")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        cfg = write_ini(tmp_path / "c.ini")
+        out = tmp_path / "o"
+        argv = ["sweep-lambda", "--config", cfg, "--out", str(out), "--gammas", gammas, "--criteria", kinds]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
 
     def test_empty_gammas_rejected(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")

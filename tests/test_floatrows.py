@@ -43,7 +43,8 @@ class TestTrajectoryCsv:
         )
         n = snapshots.shape[1]
         domain = np.array(data.draw(st.lists(st.sampled_from(["in", "out"]), min_size=n, max_size=n)), dtype=str)
-        traj = shiftsim.ShiftTrajectory(snapshots=snapshots, labels=np.zeros(n, dtype=int), domain=domain, stats=[])
+        labels = np.where(domain == "in", 0, gda.NO_LABEL)
+        traj = shiftsim.ShiftTrajectory(snapshots=snapshots, labels=labels, stats=[])
         path = tmp_path / "trajectory.csv"
         shiftsim.trajectory_to_csv(traj, path)
         rows = [["step", "idx", "domain"] + [f"x{j}" for j in range(snapshots.shape[2])]]
@@ -56,10 +57,8 @@ class TestTrajectoryCsv:
         # A whole-trajectory .tolist() peaks near 5 MB here; one snapshot at a
         # time stays near 0.2 MB.
         rng = np.random.default_rng(0)
-        domain = np.where(np.arange(400) % 2 == 0, "in", "out")
-        traj = shiftsim.ShiftTrajectory(
-            snapshots=rng.standard_normal((101, 400, 2)), labels=np.zeros(400, dtype=int), domain=domain, stats=[]
-        )
+        labels = np.where(np.arange(400) % 2 == 0, 0, gda.NO_LABEL)
+        traj = shiftsim.ShiftTrajectory(snapshots=rng.standard_normal((101, 400, 2)), labels=labels, stats=[])
         tracemalloc.start()
         try:
             shiftsim.trajectory_to_csv(traj, tmp_path / "trajectory.csv")
@@ -77,7 +76,6 @@ class TestStatsCsv:
         traj = shiftsim.ShiftTrajectory(
             snapshots=np.zeros((len(stats), 0, 2)),
             labels=np.zeros(0, dtype=int),
-            domain=np.zeros(0, dtype=str),
             stats=[shiftsim.ShiftStats(*row) for row in stats],
         )
         path = tmp_path / "stats.csv"
@@ -97,7 +95,7 @@ class TestLabeledSetCsv:
         labels = np.where(is_in, np.arange(n) % 3, gda.NO_LABEL)
         domain = np.where(is_in, gda.DOMAIN_IN, gda.DOMAIN_OUT)
         path = tmp_path / "set.csv"
-        gda.LabeledSet(features, labels, domain).to_csv(path)
+        gda.LabeledSet(features, labels).to_csv(path)
         rows = [[f"x{j}" for j in range(features.shape[1])] + ["label", "domain"]]
         for row, label, tag in zip(features, labels, domain):
             rows.append(float_cells(row) + [str(label) if tag == gda.DOMAIN_IN else "", tag])

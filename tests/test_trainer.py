@@ -7,13 +7,13 @@ import pytest
 
 from oodlab import criteria, gda, trainer
 from oodlab.seeding import component_seed
-from oracles import max_rel_error
+from oracles import density_at_radius, max_rel_error
 
-ZETA = gda.density_at_radius(2.5)
+ZETA = density_at_radius(2.5)
 
 
 def subset(data, mask):
-    return gda.LabeledSet(data.features[mask], data.labels[mask], data.domain[mask])
+    return data.subset(mask)
 
 
 def small_splits(seed=1234, n=600, n_hard=200):
@@ -141,11 +141,10 @@ class TestEvaluate:
         base = gda.sample_synthetic(3.0, ZETA, 2400, seed=42)
         in_rows = subset(base, base.in_mask())
         half = len(in_rows) // 2
-        eval_in = gda.LabeledSet(in_rows.features[:half], in_rows.labels[:half], in_rows.domain[:half])
+        eval_in = gda.LabeledSet(in_rows.features[:half], in_rows.labels[:half])
         eval_out = gda.LabeledSet(
             in_rows.features[half : 2 * half],
             np.full(half, gda.NO_LABEL),
-            np.array([gda.DOMAIN_OUT] * half),
         )
         model = trainer.build_model(cfg, eval_in)
         report = trainer.evaluate(model, eval_in, eval_out, "msp")
@@ -191,7 +190,7 @@ class TestGradientAudit:
             in_x = 2.0 * rng.standard_normal((5, 3))
             in_y = rng.integers(0, 2, size=5)
             out_x = 2.0 * rng.standard_normal((4, 3))
-            data = gda.LabeledSet(in_x, in_y, np.array(["in"] * 5))
+            data = gda.LabeledSet(in_x, in_y)
             model = trainer.build_model(cfg, data)
             weight = cfg.outlier_weight
             args = (model, cfg.criterion, weight, in_x, in_y, out_x)
