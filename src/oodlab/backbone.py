@@ -1,7 +1,11 @@
 """A small fully-connected feature extractor with exact backpropagation.
 
 Layers are affine maps followed by ReLU, except the last, which is affine
-only. The forward pass returns a cache sufficient for an exact backward pass;
+only. The forward pass returns a cache sufficient for an exact backward pass:
+every layer's input plus the network output, so cache[i + 1] is layer i's
+output. Each layer allocates one array, its matmul output, and adds the bias
+and applies ReLU to it in place. The backward pass reads the ReLU mask off a
+layer's output, since max(pre, 0) > 0 exactly where pre > 0 (NaN included);
 the ReLU subgradient at zero is taken as zero.
 """
 
@@ -67,28 +71,34 @@ def init_mlp(widths: tuple[int, ...] | list[int], rng: np.random.Generator) -> M
     return MlpParams(layers=layers)
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward over a (B, in_dim) batch; cache holds inputs and pre-activations."""
-    x = np.asarray(x, dtype=float)
-    cache = []
-    out = x
+def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward over a (B, in_dim) batch.
+
+    The cache is [x, layer 0 output, ..., network output]: each layer's input
+    followed by the returned features. Neither ``x`` nor a cached array is
+    written after it is cached, so callers may keep them.
+    """
+    out = np.asarray(x, dtype=float)
+    cache = [out]
     for layer in params.layers:
-        pre = out @ layer.weight.T + layer.bias
-        cache.append((out, pre))
-        out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        out = out @ layer.weight.T
+        out += layer.bias
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        cache.append(out)
     return out, cache
 
 
 def backward_batch(
-    params: MlpParams, cache: list, d_out: np.ndarray
+    params: MlpParams, cache: list[np.ndarray], d_out: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Exact gradients for a batch; returns per-layer (d_weight, d_bias) and d_x."""
     d_cur = np.asarray(d_out, dtype=float)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
     for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
-        inp, pre = cache[idx]
-        d_pre = d_cur * (pre > 0.0) if layer.activation == "relu" else d_cur
+        inp, out = cache[idx], cache[idx + 1]
+        d_pre = d_cur * (out > 0.0) if layer.activation == "relu" else d_cur
         grads[idx] = (d_pre.T @ inp, d_pre.sum(axis=0))
         d_cur = d_pre @ layer.weight
     return grads, d_cur

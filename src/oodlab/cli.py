@@ -200,17 +200,26 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
     return 0
 
 
+class NonFiniteFeatures(RuntimeError):
+    """A checkpoint's backbone maps an eval row to a non-finite feature."""
+
+
 def cmd_export_features(config: ExperimentConfig, out_dir: str, checkpoint: str) -> int:
     model = trainer.load_checkpoint(checkpoint)
     _, _, eval_in, eval_out = make_datasets(config)
+    # Finite but huge weights can overflow; that is reported, not written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = [trainer.features_batch(model, data.features) for data in (eval_in, eval_out)]
+    if not all(np.all(np.isfinite(f)) for f in feats):
+        raise NonFiniteFeatures(f"checkpoint {checkpoint} gives non-finite features")
     path = os.path.join(out_dir, "features.csv")
     with open(path, "w", newline="") as fh:
         fh.write(join_cells(["idx", "domain"] + [f"z{j}" for j in range(model.backbone.out_dim)]) + CSV_END)
         idx = 0
-        for data, tag in ((eval_in, DOMAIN_IN), (eval_out, DOMAIN_OUT)):
-            lead = [join_cells([i, tag]) for i in range(idx, idx + len(data))]
-            write_csv_rows(fh, trainer.features_batch(model, data.features), lead=lead)
-            idx += len(data)
+        for f, tag in zip(feats, (DOMAIN_IN, DOMAIN_OUT)):
+            lead = [join_cells([i, tag]) for i in range(idx, idx + len(f))]
+            write_csv_rows(fh, f, lead=lead)
+            idx += len(f)
     print(f"wrote {idx} feature rows to {path}")
     return 0
 
@@ -268,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InvalidThreshold, OneSidedThreshold, trainer.DegenerateData, EmptyClass, DegenerateCovariance) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (trainer.NonFiniteLoss, NonFiniteState) as exc:
+    except (trainer.NonFiniteLoss, NonFiniteState, NonFiniteFeatures) as exc:
         print(f"non-finite training state: {exc}", file=sys.stderr)
         return 3
     except (OSError, MalformedData, trainer.MalformedCheckpoint) as exc:

@@ -2,9 +2,11 @@
 
 ``forward`` and ``backward`` are the one interface to both heads' math: batch
 scores and hand-derived gradients with respect to the input features and
-every parameter, keyed by the params dataclass's field names. Training,
-checkpoints and the drift simulation reach a head only through them, its
-fields and its class constants (``KIND``, ``GRAD_NORM_BOUND``).
+every parameter, keyed by the params dataclass's field names. ``forward``
+returns its scores with a cache, as ``backbone.forward_batch`` does, and
+``backward`` reads that cache instead of the features. Training, checkpoints
+and the drift simulation reach a head only through them, its fields and its
+class constants (``KIND``, ``GRAD_NORM_BOUND``).
 
 The Gaussian head parameterizes the covariance through a lower-triangular
 factor whose diagonal is stored as unconstrained values and materialized
@@ -15,7 +17,7 @@ Index conventions used by the Gaussian-head math, with u_i = z - m_i:
     v_i = L^-1 u_i            whitened by ``linalg.whiten``; h_i = -|v_i|^2
     g_i = (L L.T)^-1 u_i      the "natural" residual L^-T v_i; as a row, v_i.T L^-1
     dh_i/dz = -2 g_i,  dh_i/dm_i = 2 g_i,  dh_i/dL = 2 g_i v_i.T (lower part)
-The backward re-whitens instead of caching the forward's v: one matmul.
+The forward caches v and L^-1, so a step whitens once.
 """
 
 from __future__ import annotations
@@ -121,32 +123,39 @@ class GaussianHeadParams:
 HEAD_TYPES = {cls.KIND: cls for cls in (LinearHeadParams, GaussianHeadParams)}
 
 
-def forward(head: LinearHeadParams | GaussianHeadParams, z: np.ndarray) -> np.ndarray:
-    """(B, K) scores of (B, d) features: logits w_i.T z + b_i, or Gaussian scores.
+def forward(
+    head: LinearHeadParams | GaussianHeadParams, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """(B, K) scores of (B, d) features, and the cache ``backward`` takes.
 
-    Gaussian scores are h_i = -(z - m_i).T (L L.T)^-1 (z - m_i), all <= 0.
+    Linear scores are the logits w_i.T z + b_i, cached as z itself. Gaussian
+    scores are h_i = -(z - m_i).T (L L.T)^-1 (z - m_i), all <= 0, cached as
+    the whitened residuals v (B, K, d) and L^-1.
     """
     z = np.asarray(z, dtype=float)
     if isinstance(head, LinearHeadParams):
-        return z @ head.weight.T + head.bias
-    v, _ = linalg.whiten(head.materialize(), head.means, z)
-    return -np.einsum("bkj,bkj->bk", v, v)
+        return z @ head.weight.T + head.bias, z
+    v, inverse = linalg.whiten(head.materialize(), head.means, z)
+    return -np.einsum("bkj,bkj->bk", v, v), (v, inverse)
 
 
 def backward(
-    head: LinearHeadParams | GaussianHeadParams, z: np.ndarray, upstream: np.ndarray
+    head: LinearHeadParams | GaussianHeadParams,
+    cache: np.ndarray | tuple[np.ndarray, np.ndarray],
+    upstream: np.ndarray,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradients of a loss with (B, K) upstream dL/dscores through ``forward``.
 
+    ``cache`` is what ``forward`` returned for the same head and features.
     Returns d_z (B, d) and one gradient per parameter field, keyed by field
     name and summed over rows. The Gaussian tri_raw gradient is chained
     through the exp materialization of the diagonal.
     """
-    z = np.asarray(z, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     if isinstance(head, LinearHeadParams):
+        z = cache
         return upstream @ head.weight, {"weight": upstream.T @ z, "bias": upstream.sum(axis=0)}
-    v, inverse = linalg.whiten(head.materialize(), head.means, z)
+    v, inverse = cache
     b, k, d = v.shape
     flat_v = v.reshape(b * k, d)
     weighted_g = upstream.reshape(b * k, 1) * (flat_v @ inverse)  # one upstream-weighted g per (row, class)

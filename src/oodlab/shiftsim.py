@@ -230,11 +230,11 @@ def run_shift_sim(
     for step in range(steps):
         # Overflow is reported through NonFiniteState, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = heads.forward(head, feats)
+            scores, head_cache = heads.forward(head, feats)
             upstream = np.empty_like(scores)
             upstream[in_mask] = criteria.id_loss(criterion, scores[in_mask], labels[in_mask]).d_scores
             upstream[~in_mask] = criteria.ood_loss(criterion, scores[~in_mask]).d_scores
-            d_feats, _ = heads.backward(head, feats, upstream)
+            d_feats, _ = heads.backward(head, head_cache, upstream)
             feats = feats - lr * d_feats
         if not np.all(np.isfinite(feats)):
             raise NonFiniteState(step)

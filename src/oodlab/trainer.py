@@ -230,7 +230,7 @@ def features_batch(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def scores_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    return heads.forward(model.head, features_batch(model, x))
+    return heads.forward(model.head, features_batch(model, x))[0]
 
 
 def score_samples(model: Model, x: np.ndarray, scorer: str) -> np.ndarray:
@@ -283,14 +283,14 @@ def batch_gradients(
     # the runtime warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         feats, cache = bb.forward_batch(model.backbone, x)
-        scores = heads.forward(model.head, feats)
+        scores, head_cache = heads.forward(model.head, feats)
         in_rep = criteria.id_loss(criterion, scores[:n_in], in_y, weight)
         out_rep = criteria.ood_loss(criterion, scores[n_in:], weight)
         upstream = np.concatenate([in_rep.d_scores / n_in, out_rep.d_scores / max(n_out, 1)])
         loss_in = float(in_rep.value.mean())
         loss_out = float(out_rep.value.mean()) if n_out else 0.0
 
-        d_feats, head_grads = heads.backward(model.head, feats, upstream)
+        d_feats, head_grads = heads.backward(model.head, head_cache, upstream)
         grads = {f"head.{name}": grad for name, grad in head_grads.items()}
         layer_grads, _ = bb.backward_batch(model.backbone, cache, d_feats)
         for i, (d_weight, d_bias) in enumerate(layer_grads):
@@ -305,17 +305,17 @@ class _OutlierCycler:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.queue: list[int] = []
+        self.queue = np.zeros(0, dtype=int)
 
     def take(self, count: int) -> np.ndarray:
-        picked: list[int] = []
-        while len(picked) < count:
-            if not self.queue:
-                self.queue = list(self.rng.permutation(self.n))
-            need = count - len(picked)
-            picked.extend(self.queue[:need])
-            del self.queue[:need]
-        return np.asarray(picked, dtype=int)
+        parts = [np.zeros(0, dtype=int)]
+        while count > 0:
+            if not self.queue.size:
+                self.queue = self.rng.permutation(self.n)
+            parts.append(self.queue[:count])
+            self.queue = self.queue[count:]
+            count -= parts[-1].size
+        return np.concatenate(parts)
 
 
 def _epoch_log(
@@ -402,8 +402,10 @@ def train(
         raise DegenerateData(f"criterion {config.criterion.kind!r} needs outlier training data")
     model = build_model(config, train_in)
     bound = model.head.GRAD_NORM_BOUND
+    # The parameter arrays are updated in place, so one list serves every step.
+    params = param_items(model)
 
-    velocity = {name: np.zeros_like(arr) for name, arr in param_items(model)}
+    velocity = {name: np.zeros_like(arr) for name, arr in params}
     in_rng = component_rng(config.seed, "batch_in")
     out_rng = component_rng(config.seed, "batch_out")
     cycler = _OutlierCycler(len(train_out), out_rng) if use_out else None
@@ -434,12 +436,12 @@ def train(
                 for grad in grads.values():
                     grad *= bound / grad_norm
             lr = lr_at(config.schedule, config.initial_lr, global_step, total_steps)
-            for name, arr in param_items(model):
+            for name, arr in params:
                 vel = velocity[name]
                 vel *= config.momentum
                 vel += grads[name]
                 arr -= lr * vel
-            if any(not np.all(np.isfinite(arr)) for _, arr in param_items(model)):
+            if any(not np.all(np.isfinite(arr)) for _, arr in params):
                 raise NonFiniteLoss(global_step)
             epoch_loss_in += loss_in
             epoch_loss_out += loss_out

@@ -6,10 +6,14 @@ out with explicit densities. None of it shares code with the package paths it
 checks, except the one-row helpers at the end. ``head_row``,
 ``head_row_backward``, ``mlp_row`` and ``mlp_row_backward`` push a single
 vector through the package's batch kernels, so finite differences can probe
-those kernels one input at a time. ``class_likelihood``, ``posterior`` and
-``density_at_radius`` are the per-sample Gaussian forms, built on
-``gda.sq_mahalanobis``/``gda.log_density``, ``gda.closed_form_discriminant``
-and ``gda.density_max``, so the explicit-density oracles above can check them.
+those kernels one input at a time; ``pre_activations`` recomputes the hidden
+pre-activations from the layer inputs a backbone cache holds.
+``class_likelihood``, ``posterior`` and ``density_at_radius`` are the
+per-sample Gaussian forms, built on ``gda.sq_mahalanobis``/``gda.log_density``,
+``gda.closed_form_discriminant`` and ``gda.density_max``, so the
+explicit-density oracles above can check them. ``outlier_take_oracle`` is the
+list-based outlier cycler that the array-based ``trainer._OutlierCycler`` must
+match index for index.
 """
 
 import csv
@@ -122,12 +126,13 @@ def csv_writer_text(rows):
 
 def head_row(head, z):
     """``heads.forward`` scores of one (d,) feature vector, as a (K,) row."""
-    return heads.forward(head, np.asarray(z, dtype=float)[None, :])[0]
+    return heads.forward(head, np.asarray(z, dtype=float)[None, :])[0][0]
 
 
 def head_row_backward(head, z, upstream):
     """``heads.backward`` for one row: (d_z, {param name: grad})."""
-    d_z, grads = heads.backward(head, np.asarray(z, dtype=float)[None, :], np.asarray(upstream, dtype=float)[None, :])
+    _, cache = heads.forward(head, np.asarray(z, dtype=float)[None, :])
+    d_z, grads = heads.backward(head, cache, np.asarray(upstream, dtype=float)[None, :])
     return d_z[0], grads
 
 
@@ -135,6 +140,27 @@ def mlp_row(net, x):
     """``backbone.forward_batch`` on one (in_dim,) input: its feature vector and cache."""
     z, cache = backbone.forward_batch(net, np.asarray(x, dtype=float)[None, :])
     return z[0], cache
+
+
+def pre_activations(net, cache):
+    """Each layer's pre-activation ``inp @ W.T + b``, from the inputs a forward cache holds."""
+    return [inp @ layer.weight.T + layer.bias for layer, inp in zip(net.layers, cache)]
+
+
+def outlier_take_oracle(n, rng, counts):
+    """Index batches of a list-based outlier cycler: a fresh ``rng.permutation(n)`` when the queue runs dry."""
+    queue = []
+    batches = []
+    for count in counts:
+        picked = []
+        while len(picked) < count:
+            if not queue:
+                queue = list(rng.permutation(n))
+            need = count - len(picked)
+            picked.extend(queue[:need])
+            del queue[:need]
+        batches.append(np.asarray(picked, dtype=int))
+    return batches
 
 
 def mlp_row_backward(net, cache, d_z):

@@ -26,6 +26,7 @@ from oracles import (
     mlp_row_backward,
     pairwise_auroc,
     posterior,
+    pre_activations,
     sweep_aupr,
     sweep_fpr_at_tpr,
 )
@@ -251,7 +252,7 @@ class TestCriterion1GradientAudit:
                 x = rng.standard_normal(widths[0])
                 _, cache = mlp_row(net, x)
                 pre_margin = min(
-                    float(np.min(np.abs(pre))) for layer, (_, pre) in zip(net.layers, cache)
+                    float(np.min(np.abs(pre))) for layer, pre in zip(net.layers, pre_activations(net, cache))
                     if layer.activation == "relu"
                 )
                 if pre_margin > 1e-3:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodlab import backbone
-from oracles import central_difference, max_rel_error, mlp_row, mlp_row_backward
+from oracles import central_difference, max_rel_error, mlp_row, mlp_row_backward, pre_activations
 
 
 def random_net(rng, widths=None):
@@ -55,7 +55,7 @@ class TestForward:
         for _ in range(50):
             x = 3.0 * rng.standard_normal(3)
             _, cache = mlp_row(net, x)
-            for layer, (_, pre) in zip(net.layers, cache):
+            for layer, pre in zip(net.layers, pre_activations(net, cache)):
                 if layer.activation == "relu":
                     assert np.all(np.maximum(pre, 0.0) >= 0.0)
 
@@ -67,6 +67,17 @@ class TestForward:
         for row, x in zip(batch, xs):
             single, _ = mlp_row(net, x)
             np.testing.assert_allclose(row, single)
+
+    def test_cache_holds_layer_inputs_and_output(self):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, widths=[3, 8, 8, 2])
+        xs = rng.standard_normal((7, 3))
+        z, cache = backbone.forward_batch(net, xs)
+        assert len(cache) == len(net.layers) + 1
+        assert cache[0] is xs and cache[-1] is z
+        for layer, pre, out in zip(net.layers, pre_activations(net, cache), cache[1:]):
+            expected = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+            np.testing.assert_array_equal(out, expected)
 
     def test_final_activation_must_be_none(self):
         with pytest.raises(ValueError):
@@ -83,6 +94,32 @@ class TestBackward:
         assert np.all(d_x == 0)
         for d_w, d_b in grads:
             assert np.all(d_w == 0) and np.all(d_b == 0)
+
+    def test_inputs_and_cache_left_unchanged(self):
+        # The forward adds bias and applies ReLU in place; only its own
+        # matmul outputs may be written, and nothing after it caches them.
+        rng = np.random.default_rng(6)
+        net = random_net(rng, widths=[3, 8, 8, 2])
+        xs = rng.standard_normal((9, 3))
+        d_out = rng.standard_normal((9, 2))
+        x_copy, d_out_copy = xs.copy(), d_out.copy()
+        z, cache = backbone.forward_batch(net, xs)
+        np.testing.assert_array_equal(xs, x_copy)
+        cache_copy = [arr.copy() for arr in cache]
+        grads, d_x = backbone.backward_batch(net, cache, d_out)
+        z_again, cache_again = backbone.forward_batch(net, xs)
+        np.testing.assert_array_equal(xs, x_copy)
+        np.testing.assert_array_equal(d_out, d_out_copy)
+        for arr, before in zip(cache, cache_copy):
+            np.testing.assert_array_equal(arr, before)
+        np.testing.assert_array_equal(z_again, z)
+        for again, first in zip(cache_again, cache):
+            np.testing.assert_array_equal(again, first)
+        grads_again, d_x_again = backbone.backward_batch(net, cache_again, d_out)
+        np.testing.assert_array_equal(d_x_again, d_x)
+        for (dw, db), (dw_again, db_again) in zip(grads, grads_again):
+            np.testing.assert_array_equal(dw_again, dw)
+            np.testing.assert_array_equal(db_again, db)
 
     def test_identity_layer_passes_gradient(self):
         net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3), activation="none")])

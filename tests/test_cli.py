@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,28 @@ class TestExportFeatures:
         trainer.save_checkpoint(model, ckpt)
         out = tmp_path / "out"
         assert cli.main(["export-features", "--config", cfg_path, "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+
+    def test_overflowing_checkpoint_is_non_finite(self, tmp_path, capsys):
+        # A finite but huge weight passes the checkpoint reader and overflows the forward.
+        cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}})
+        train_out = tmp_path / "train"
+        assert cli.main(["train", "--config", cfg, "--out", str(train_out)]) == 0
+        capsys.readouterr()
+        lines = (train_out / "checkpoint.txt").read_text().splitlines()
+        for i, line in enumerate(lines):
+            name, _, values = line.partition("=")
+            if name == "backbone.0.weight":
+                lines[i] = name + "=" + " ".join("1e308" for _ in values.split())
+        ckpt = tmp_path / "huge.txt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["export-features", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("non-finite") and "Traceback" not in err
+        assert not (out / "features.csv").exists()
 
     def test_missing_checkpoint_io_error(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")

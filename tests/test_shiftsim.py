@@ -117,6 +117,22 @@ class TestRunShiftSim:
         for step in range(6):
             np.testing.assert_array_equal(traj.snapshots[step], bank.features)
 
+    def test_gaussian_head_whitens_once_per_step(self, monkeypatch):
+        # Per step: one whitening in the head (its backward reuses the
+        # forward's) and one in shift_stats, plus shift_stats of the start.
+        bank = default_bank(n_in=20, n_out=10)
+        model = gda.fit_gda(bank)
+        whiten = linalg.whiten
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return whiten(*args)
+
+        monkeypatch.setattr(linalg, "whiten", counting)
+        shiftsim.run_shift_sim(criteria.CriterionConfig("ice"), bank, model, steps=10, lr=0.05, zeta=ZETA)
+        assert len(calls) == 2 * 10 + 1
+
     def test_oe_contracts_outlier_norms(self):
         bank = default_bank()
         model = gda.fit_gda(bank)

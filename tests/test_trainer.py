@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oodlab import criteria, gda, trainer
+from oodlab import criteria, gda, linalg, trainer
 from oodlab.seeding import component_seed
-from oracles import density_at_radius, max_rel_error
+from oracles import density_at_radius, max_rel_error, outlier_take_oracle
 
 ZETA = density_at_radius(2.5)
 
@@ -263,6 +263,24 @@ class TestEpochEval:
         init_rows = len(train_in) if head == "gaussian" else 0  # Gaussian means start at class feature means
         assert sum(rows) == train_rows + eval_rows + init_rows
 
+    def test_whitens_once_per_step(self, monkeypatch):
+        # One whitening per SGD step (the head backward reuses the forward's)
+        # plus one per eval set per epoch.
+        data = small_splits()
+        cfg = quick_config("ice", epochs=2)
+        whiten = linalg.whiten
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return whiten(*args)
+
+        monkeypatch.setattr(linalg, "whiten", counting)
+        model, _ = trainer.train(cfg, *data)
+        assert model.head_kind == "gaussian"
+        steps = cfg.epochs * math.ceil(len(data[0]) / cfg.batch_in)
+        assert len(calls) == steps + 2 * cfg.epochs
+
     @pytest.mark.parametrize("kind,scorer", [("plain", "msp"), ("ice", "ice_conf")])
     def test_final_log_matches_evaluate(self, kind, scorer):
         data = small_splits()
@@ -309,3 +327,17 @@ class TestOutlierCycler:
         assert set(picked) <= set(range(5))
         # each full cycle is a permutation: the first 5 picks cover the pool
         assert set(picked[:5]) == set(range(5))
+
+    @pytest.mark.parametrize("n", [1, 81, 300])
+    @pytest.mark.parametrize("count", [1, 256, 1000])
+    def test_matches_list_oracle(self, n, count):
+        counts = [count, 1, count, count + 7, count]
+        cycler = trainer._OutlierCycler(n, np.random.default_rng(5))
+        oracle_rng = np.random.default_rng(5)
+        expected = outlier_take_oracle(n, oracle_rng, counts)
+        for want, c in zip(expected, counts):
+            got = cycler.take(c)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        # the same permutation draws were made, so both streams stand at the same state
+        assert cycler.rng.bit_generator.state == oracle_rng.bit_generator.state
