@@ -1,7 +1,9 @@
 """A small fully-connected feature extractor with exact backpropagation.
 
 Layers are affine maps followed by ReLU, except the last, which is affine
-only. The forward pass returns a cache sufficient for an exact backward pass:
+only. The activation follows from a layer's position alone, so a ``Layer``
+holds just its weight and bias and only the batch kernels apply the rule.
+The forward pass returns a cache sufficient for an exact backward pass:
 every layer's input plus the network output, so cache[i + 1] is layer i's
 output. Each layer allocates one array, its matmul output, and adds the bias
 and applies ReLU to it in place. The backward pass reads the ReLU mask off a
@@ -15,22 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "none")
-
 
 @dataclass
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str
 
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("layer weight must be (out, in) with an out-length bias")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -43,8 +40,6 @@ class MlpParams:
         for prev, cur in zip(self.layers, self.layers[1:]):
             if cur.weight.shape[1] != prev.weight.shape[0]:
                 raise ValueError("consecutive layer dimensions must chain")
-        if self.layers[-1].activation != "none":
-            raise ValueError("final layer must have no activation")
 
     @property
     def in_dim(self) -> int:
@@ -63,11 +58,10 @@ def init_mlp(widths: tuple[int, ...] | list[int], rng: np.random.Generator) -> M
     """He-style init: weights ~ N(0, 2/fan_in), biases zero, ReLU hidden layers."""
     if len(widths) < 2:
         raise ValueError("need input and output widths")
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        weight = rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in)
-        activation = "none" if i == len(widths) - 2 else "relu"
-        layers.append(Layer(weight=weight, bias=np.zeros(fan_out), activation=activation))
+    layers = [
+        Layer(weight=rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in), bias=np.zeros(fan_out))
+        for fan_in, fan_out in zip(widths, widths[1:])
+    ]
     return MlpParams(layers=layers)
 
 
@@ -80,10 +74,11 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np
     """
     out = np.asarray(x, dtype=float)
     cache = [out]
-    for layer in params.layers:
+    last = len(params.layers) - 1
+    for idx, layer in enumerate(params.layers):
         out = out @ layer.weight.T
         out += layer.bias
-        if layer.activation == "relu":
+        if idx < last:
             np.maximum(out, 0.0, out=out)
         cache.append(out)
     return out, cache
@@ -94,11 +89,12 @@ def backward_batch(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Exact gradients for a batch; returns per-layer (d_weight, d_bias) and d_x."""
     d_cur = np.asarray(d_out, dtype=float)
+    last = len(params.layers) - 1
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
-    for idx in range(len(params.layers) - 1, -1, -1):
+    for idx in range(last, -1, -1):
         layer = params.layers[idx]
         inp, out = cache[idx], cache[idx + 1]
-        d_pre = d_cur * (out > 0.0) if layer.activation == "relu" else d_cur
+        d_pre = d_cur * (out > 0.0) if idx < last else d_cur
         grads[idx] = (d_pre.T @ inp, d_pre.sum(axis=0))
         d_cur = d_pre @ layer.weight
     return grads, d_cur

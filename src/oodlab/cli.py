@@ -126,14 +126,7 @@ def cmd_simulate_shift(config: ExperimentConfig, out_dir: str) -> int:
         d.mu, d.zeta, config.shift.n_in, config.shift.n_out, component_seed(d.seed, "shift_bank"), dims=d.dims
     )
     model = fit_gda(bank)
-    trajectory = run_shift_sim(
-        config.train.criterion,
-        bank,
-        model,
-        steps=config.shift.steps,
-        lr=config.shift.lr,
-        zeta=d.zeta,
-    )
+    trajectory = run_shift_sim(config.train, bank, model, steps=config.shift.steps, lr=config.shift.lr, zeta=d.zeta)
     trajectory_to_csv(trajectory, os.path.join(out_dir, "trajectory.csv"))
     stats_to_csv(trajectory, os.path.join(out_dir, "stats.csv"))
     first, last = trajectory.stats[0], trajectory.stats[-1]

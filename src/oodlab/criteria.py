@@ -5,8 +5,10 @@ batch kernel over scores whose last axis holds the K classes. It returns a
 LossReport with one value per row and dL/dscores of the scores' shape, so a
 (B, K) batch gives B values and a single (K,) score vector is the per-sample
 case with a scalar value. The branch dispatchers id_loss and ood_loss map a
-criterion kind to its in-distribution and outlier terms, balance weight
-included, so the trainer and the shift simulation share one batch code path.
+criterion kind to its in-distribution and outlier terms. They take the balance
+weight as an argument: the caller passes ``TrainConfig.outlier_weight``
+(lambda * gamma), the one place the weight is formed, so the trainer and the
+shift simulation share one batch code path and one weight.
 
 Sign conventions worth keeping in mind:
   - sce pushes the ground-truth score up and every other score down;
@@ -65,10 +67,6 @@ class CriterionConfig:
             object.__setattr__(self, "lam", DEFAULT_LAMBDA[self.kind])
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
-
-    @property
-    def weight(self) -> float:
-        return self.lam
 
     def needs_gaussian_head(self) -> bool:
         return self.kind in ("ice", "ice_minus")
@@ -173,23 +171,22 @@ def bce_outlier(scores: np.ndarray, targets: np.ndarray) -> LossReport:
     return LossReport(value, sigmoid - targets)
 
 
-def id_loss(config: CriterionConfig, scores: np.ndarray, y, weight: float | None = None) -> LossReport:
-    """The in-distribution branch of ``config.kind``, balance terms included.
+def id_loss(config: CriterionConfig, scores: np.ndarray, y, weight: float) -> LossReport:
+    """The in-distribution branch of ``config.kind``, balance terms scaled by ``weight``.
 
     ``scores`` is (B, K) with B labels ``y``, or one (K,) row with a scalar label.
     """
     scores = np.asarray(scores, dtype=float)
-    w = config.weight if weight is None else weight
     if config.kind in ("plain", "oe"):
         return sce(scores, y)
     if config.kind == "energy":
         sce_rep = sce(scores, y)
         e_rep = energy(scores)
-        return LossReport(sce_rep.value - w * e_rep.value, sce_rep.d_scores - w * e_rep.d_scores)
+        return LossReport(sce_rep.value - weight * e_rep.value, sce_rep.d_scores - weight * e_rep.d_scores)
     if config.kind == "ice":
         sce_rep = sce(_check_nonpositive(scores), y)
         id_rep = ice_id(scores, y)
-        return LossReport(sce_rep.value + w * id_rep.value, sce_rep.d_scores + w * id_rep.d_scores)
+        return LossReport(sce_rep.value + weight * id_rep.value, sce_rep.d_scores + weight * id_rep.d_scores)
     if config.kind == "ice_minus":
         return sce(_check_nonpositive(scores), y)
     if config.kind == "bce":
@@ -197,10 +194,9 @@ def id_loss(config: CriterionConfig, scores: np.ndarray, y, weight: float | None
     raise AssertionError(config.kind)
 
 
-def ood_loss(config: CriterionConfig, scores: np.ndarray, weight: float | None = None) -> LossReport:
-    """The outlier branch of ``config.kind``, scaled by the balance weight."""
+def ood_loss(config: CriterionConfig, scores: np.ndarray, weight: float) -> LossReport:
+    """The outlier branch of ``config.kind``, scaled by the balance ``weight``."""
     scores = np.asarray(scores, dtype=float)
-    w = config.weight if weight is None else weight
     if config.kind == "plain":
         return LossReport(np.zeros(scores.shape[:-1]), np.zeros_like(scores))
     if config.kind == "oe":
@@ -213,4 +209,4 @@ def ood_loss(config: CriterionConfig, scores: np.ndarray, weight: float | None =
         rep = bce_outlier(scores, np.zeros_like(scores))
     else:
         raise AssertionError(config.kind)
-    return LossReport(w * rep.value, w * rep.d_scores)
+    return LossReport(weight * rep.value, weight * rep.d_scores)

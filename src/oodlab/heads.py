@@ -52,14 +52,6 @@ class LinearHeadParams:
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise ValueError("head parameters must be finite")
 
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
     @staticmethod
     def shapes(n_classes: int, dim: int) -> dict[str, tuple[int, ...]]:
         return {"weight": (n_classes, dim), "bias": (n_classes,)}
@@ -90,14 +82,6 @@ class GaussianHeadParams:
             raise ValueError("means must be (K, d) and tri_raw (d, d)")
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.tri_raw))):
             raise ValueError("head parameters must be finite")
-
-    @property
-    def n_classes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
     @staticmethod
     def shapes(n_classes: int, dim: int) -> dict[str, tuple[int, ...]]:

@@ -5,9 +5,12 @@ that the closed-form linear score ranks one way and the Gaussian likelihood
 the other. The second treats the feature vectors themselves as the trainable
 parameters, freezes a head at the fitted Gaussian model, and descends each
 feature on its own branch of a criterion, recording how the in- and
-out-of-distribution populations move. A trajectory is written as two CSV
-files: every snapshot's features, one snapshot per write through
-``floatrows.write_csv_rows``, and the per-step population statistics.
+out-of-distribution populations move. Like training, it takes the head kind,
+the criterion and the outlier weight (lambda * gamma) from a resolved
+``TrainConfig``, so the head and the loss can be varied apart. A trajectory
+is written as two CSV files: every snapshot's features, one snapshot per
+write through ``floatrows.write_csv_rows``, and the per-step population
+statistics.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from .gda import (
     GdaModel,
     LabeledSet,
     closed_form_discriminant,
-    density_max,
     log_density,
     sample_synthetic,
     sq_mahalanobis,
 )
+from .trainer import TrainConfig
 
 
 class NonFiniteState(RuntimeError):
@@ -186,27 +189,28 @@ def shift_stats(
     return ShiftStats(mean_norm_out, mean_nearest_center_out, mean_own_center_in, mixed_fraction)
 
 
-def _frozen_head(criterion: criteria.CriterionConfig, model: GdaModel):
-    if criterion.needs_gaussian_head():
+def _frozen_head(head_kind: str, model: GdaModel):
+    if head_kind == heads.GaussianHeadParams.KIND:
         return heads.GaussianHeadParams.from_factor(model.means, model.chol)
     w_hat, b_hat = closed_form_discriminant(model)
     return heads.LinearHeadParams(weight=w_hat, bias=b_hat)
 
 
 def run_shift_sim(
-    criterion: criteria.CriterionConfig,
+    config: TrainConfig,
     bank: LabeledSet,
     head_source: GdaModel,
     steps: int,
     lr: float,
-    zeta: float | None = None,
+    zeta: float,
 ) -> ShiftTrajectory:
-    """Descend every feature on its own criterion branch under a frozen head.
+    """Descend every feature on its branch of ``config.criterion`` under a frozen head.
 
-    The head is pinned to the fitted model (closed-form linear scores, or the
-    Gaussian head at the model's means and factor). Updates are simultaneous
-    full-batch gradient steps, so the trajectory is deterministic and draws
-    no randomness.
+    The head of kind ``config.head`` is pinned to the fitted model
+    (closed-form linear scores, or the Gaussian head at the model's means and
+    factor), and the outlier terms are scaled by ``config.outlier_weight``.
+    Updates are simultaneous full-batch gradient steps, so the trajectory is
+    deterministic and draws no randomness.
 
     Raises:
         NonFiniteState: when any feature stops being finite, which the
@@ -216,9 +220,8 @@ def run_shift_sim(
         raise ValueError("steps must be >= 1")
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    if zeta is None:
-        zeta = 0.5 * density_max(bank.dim)
-    head = _frozen_head(criterion, head_source)
+    criterion, weight = config.criterion, config.outlier_weight
+    head = _frozen_head(config.head, head_source)
 
     feats = bank.features.copy()
     in_mask = bank.in_mask()
@@ -232,8 +235,8 @@ def run_shift_sim(
         with np.errstate(over="ignore", invalid="ignore"):
             scores, head_cache = heads.forward(head, feats)
             upstream = np.empty_like(scores)
-            upstream[in_mask] = criteria.id_loss(criterion, scores[in_mask], labels[in_mask]).d_scores
-            upstream[~in_mask] = criteria.ood_loss(criterion, scores[~in_mask]).d_scores
+            upstream[in_mask] = criteria.id_loss(criterion, scores[in_mask], labels[in_mask], weight).d_scores
+            upstream[~in_mask] = criteria.ood_loss(criterion, scores[~in_mask], weight).d_scores
             d_feats, _ = heads.backward(head, head_cache, upstream)
             feats = feats - lr * d_feats
         if not np.all(np.isfinite(feats)):

@@ -7,12 +7,14 @@ norm clipped at the head's ``GRAD_NORM_BOUND``. The head is reached only
 through ``heads.forward``/``heads.backward`` and its params' fields, so no
 code here branches on its kind. Evaluation runs per epoch:
 it forwards each eval set once and reads accuracy, the detector metrics and a
-confidence (Gaussian-head methods) or max-logit (linear heads) histogram from
-those scores.
+confidence (Gaussian head) or max-logit (linear head) histogram from those
+scores.
 
-The effective outlier weight is lambda * gamma: gamma rescales a criterion's
-default balance weight for sweep experiments without touching the criterion
-config itself.
+A resolved ``TrainConfig`` is the one place that decides the head kind, the
+scorer and the outlier weight; training, the epoch log and the shift
+simulation read its fields. The outlier weight is lambda * gamma: gamma
+rescales a criterion's balance weight for sweep experiments without touching
+the criterion config itself.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class TrainConfig:
 
     @property
     def outlier_weight(self) -> float:
-        return self.criterion.weight * self.gamma
+        return self.criterion.lam * self.gamma
 
 
 def resolve_head_kind(head: str, criterion: criteria.CriterionConfig) -> str:
@@ -133,10 +135,6 @@ class Model:
     @property
     def head_kind(self) -> str:
         return self.head.KIND
-
-    @property
-    def n_classes(self) -> int:
-        return self.head.n_classes
 
 
 @dataclass(frozen=True)
@@ -331,8 +329,8 @@ def _epoch_log(
     # Each eval set is forwarded once; every per-epoch figure reads these two
     # score matrices. They stay separate calls so the BLAS results match
     # score_samples on each set bit for bit.
-    # ICE always resolves to the Gaussian head, whose confidence lies in (0, 1].
-    hist_scorer = "ice_conf" if config.criterion.needs_gaussian_head() else "max_logit"
+    # The Gaussian head's confidence lies in (0, 1] under any criterion.
+    hist_scorer = "ice_conf" if config.head == heads.GaussianHeadParams.KIND else "max_logit"
     # As in batch_gradients, overflow surfaces as the NonFiniteLoss below.
     with np.errstate(over="ignore", invalid="ignore"):
         scores_in = scores_batch(model, eval_in.features)
@@ -518,14 +516,8 @@ def _model_from_entries(entries: dict[str, str]) -> Model:
 
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        activation = "none" if i == len(widths) - 2 else "relu"
-        layers.append(
-            bb.Layer(
-                weight=tensor(f"backbone.{i}.weight", (fan_out, fan_in)),
-                bias=tensor(f"backbone.{i}.bias", (fan_out,)),
-                activation=activation,
-            )
-        )
+        weight = tensor(f"backbone.{i}.weight", (fan_out, fan_in))
+        layers.append(bb.Layer(weight=weight, bias=tensor(f"backbone.{i}.bias", (fan_out,))))
     net = bb.MlpParams(layers=layers)
     dim = widths[-1]
     # The first head field is the per-class (K, d) array; it fixes K.

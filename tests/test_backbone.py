@@ -28,15 +28,15 @@ class TestForward:
     def test_zero_network(self):
         net = backbone.MlpParams(
             layers=[
-                backbone.Layer(weight=np.zeros((3, 2)), bias=np.zeros(3), activation="relu"),
-                backbone.Layer(weight=np.zeros((2, 3)), bias=np.zeros(2), activation="none"),
+                backbone.Layer(weight=np.zeros((3, 2)), bias=np.zeros(3)),
+                backbone.Layer(weight=np.zeros((2, 3)), bias=np.zeros(2)),
             ]
         )
         z, _ = mlp_row(net, np.array([5.0, -7.0]))
         np.testing.assert_allclose(z, np.zeros(2))
 
     def test_identity_single_layer(self):
-        net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3), activation="none")])
+        net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3))])
         x = np.array([1.0, -2.0, 3.0])
         z, _ = mlp_row(net, x)
         np.testing.assert_allclose(z, x)
@@ -55,8 +55,8 @@ class TestForward:
         for _ in range(50):
             x = 3.0 * rng.standard_normal(3)
             _, cache = mlp_row(net, x)
-            for layer, pre in zip(net.layers, pre_activations(net, cache)):
-                if layer.activation == "relu":
+            for idx, pre in enumerate(pre_activations(net, cache)):
+                if idx < len(net.layers) - 1:
                     assert np.all(np.maximum(pre, 0.0) >= 0.0)
 
     def test_batch_matches_single(self):
@@ -75,13 +75,9 @@ class TestForward:
         z, cache = backbone.forward_batch(net, xs)
         assert len(cache) == len(net.layers) + 1
         assert cache[0] is xs and cache[-1] is z
-        for layer, pre, out in zip(net.layers, pre_activations(net, cache), cache[1:]):
-            expected = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        for idx, (pre, out) in enumerate(zip(pre_activations(net, cache), cache[1:])):
+            expected = np.maximum(pre, 0.0) if idx < len(net.layers) - 1 else pre
             np.testing.assert_array_equal(out, expected)
-
-    def test_final_activation_must_be_none(self):
-        with pytest.raises(ValueError):
-            backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(2), bias=np.zeros(2), activation="relu")])
 
 
 class TestBackward:
@@ -122,7 +118,7 @@ class TestBackward:
             np.testing.assert_array_equal(db_again, db)
 
     def test_identity_layer_passes_gradient(self):
-        net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3), activation="none")])
+        net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3))])
         x = np.array([1.0, 2.0, 3.0])
         _, cache = mlp_row(net, x)
         d_z = np.array([0.1, -0.2, 0.3])
@@ -165,5 +161,9 @@ class TestInit:
     def test_widths_property(self):
         net = backbone.init_mlp([2, 64, 64, 8], np.random.default_rng(0))
         assert net.widths == (2, 64, 64, 8)
-        assert net.layers[0].activation == "relu"
-        assert net.layers[-1].activation == "none"
+        # ReLU after the first layer, none after the last
+        _, cache = backbone.forward_batch(net, np.random.default_rng(1).standard_normal((16, 2)))
+        pres = pre_activations(net, cache)
+        np.testing.assert_array_equal(cache[1], np.maximum(pres[0], 0.0))
+        assert np.any(pres[-1] < 0.0)
+        np.testing.assert_array_equal(cache[-1], pres[-1])

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodlab import cli, trainer
+from oodlab import cli, criteria, gda, shiftsim, trainer
 from oodlab.config import DEFAULT_ZETA, load_config
+from oodlab.seeding import component_seed
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -44,6 +46,16 @@ def write_ini(path, overrides=None, base=BASE):
         lines.extend(f"{k} = {v}" for k, v in keys.items())
         lines.append("")
     path.write_text("\n".join(lines))
+    return str(path)
+
+
+def shift_oe_ini(path, overrides):
+    """configs/shift_oe.ini with ``{section: {key: value}}`` set on top of it."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(CONFIGS / "shift_oe.ini")
+    parser.read_dict(overrides)
+    with open(path, "w") as fh:
+        parser.write(fh)
     return str(path)
 
 
@@ -306,6 +318,32 @@ class TestSimulateShift:
         assert float(rows[-1]["mean_nearest_center_out"]) > float(rows[0]["mean_nearest_center_out"])
         assert float(rows[-1]["mean_own_center_in"]) < float(rows[0]["mean_own_center_in"])
 
+    def shift_trajectory(self, tmp_path, name, overrides):
+        cfg = shift_oe_ini(tmp_path / f"{name}.ini", overrides)
+        out = tmp_path / name
+        assert cli.main(["simulate-shift", "--config", cfg, "--out", str(out)]) == 0
+        return (out / "trajectory.csv").read_bytes()
+
+    def test_model_head_picks_the_frozen_head(self, tmp_path):
+        # energy on the Gaussian head: the head follows [model] head, not the criterion
+        energy = {"criterion": {"kind": "energy"}}
+        auto = self.shift_trajectory(tmp_path, "auto", energy)
+        gaussian = self.shift_trajectory(tmp_path, "gaussian", {**energy, "model": {"head": "gaussian"}})
+        config = load_config(CONFIGS / "shift_oe.ini")
+        d, s = config.data, config.shift
+        bank = shiftsim.make_shift_bank(d.mu, d.zeta, s.n_in, s.n_out, component_seed(d.seed, "shift_bank"), dims=d.dims)
+        head_config = trainer.TrainConfig(criterion=criteria.CriterionConfig("energy"), head="gaussian")
+        expected = shiftsim.run_shift_sim(head_config, bank, gda.fit_gda(bank), steps=s.steps, lr=s.lr, zeta=d.zeta)
+        shiftsim.trajectory_to_csv(expected, tmp_path / "expected.csv")
+        assert gaussian == (tmp_path / "expected.csv").read_bytes()
+        assert gaussian != auto
+
+    def test_gamma_scales_the_outlier_weight(self, tmp_path):
+        # the outlier weight is lambda * gamma, and 0.5 * 5 == 2.5 * 1 exactly
+        scaled = self.shift_trajectory(tmp_path, "gamma5", {"criterion": {"gamma": "5"}})
+        assert scaled == self.shift_trajectory(tmp_path, "lambda25", {"criterion": {"lambda": "2.5", "gamma": "1"}})
+        assert scaled != self.shift_trajectory(tmp_path, "gamma1", {"criterion": {"gamma": "1"}})
+
     def test_zero_steps_rejected(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", {"shift": {"steps": "0"}})
         assert cli.main(["simulate-shift", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -333,6 +371,16 @@ class TestTrain:
         assert "head = linear" in resolved
         row = list(csv.DictReader(open(out / "metrics.csv")))[0]
         assert 0.0 <= float(row["acc_in"]) <= 1.0
+
+    def test_gaussian_head_histogram_is_confidence(self, tmp_path):
+        # the epoch histogram follows the head: ice_conf on any Gaussian-head run
+        cfg = write_ini(tmp_path / "c.ini", {"criterion": {"kind": "plain"}, "model": {"head": "gaussian"}})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+        for line in (out / "epochs.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            assert 0.0 < row["conf_mean_in"] <= 1.0 and 0.0 < row["conf_mean_out"] <= 1.0
+            assert row["hist_bins"][0] == 0.0 and row["hist_bins"][-1] == 1.0
 
     def test_nonfinite_exit_code(self, tmp_path):
         cfg = write_ini(

@@ -291,10 +291,10 @@ class TestBceOutlier:
 
 class TestDispatch:
     def test_defaults(self):
-        assert criteria.CriterionConfig("oe").weight == 0.5
-        assert criteria.CriterionConfig("energy").weight == 0.1
-        assert criteria.CriterionConfig("ice").weight == 1.0
-        assert criteria.CriterionConfig("ice", lam=0.25).weight == 0.25
+        assert criteria.CriterionConfig("oe").lam == 0.5
+        assert criteria.CriterionConfig("energy").lam == 0.1
+        assert criteria.CriterionConfig("ice").lam == 1.0
+        assert criteria.CriterionConfig("ice", lam=0.25).lam == 0.25
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -314,40 +314,40 @@ class TestDispatch:
 
         cfg = criteria.CriterionConfig("energy", lam=0.3)
         np.testing.assert_allclose(
-            criteria.id_loss(cfg, scores_in, 1).d_scores,
+            criteria.id_loss(cfg, scores_in, 1, cfg.lam).d_scores,
             criteria.sce(scores_in, 1).d_scores - 0.3 * criteria.energy(scores_in).d_scores,
         )
         np.testing.assert_allclose(
-            criteria.ood_loss(cfg, scores_out).d_scores, 0.3 * criteria.energy(scores_out).d_scores
+            criteria.ood_loss(cfg, scores_out, cfg.lam).d_scores, 0.3 * criteria.energy(scores_out).d_scores
         )
 
         cfg = criteria.CriterionConfig("ice", lam=0.7)
         np.testing.assert_allclose(
-            criteria.id_loss(cfg, h_in, 2).d_scores,
+            criteria.id_loss(cfg, h_in, 2, cfg.lam).d_scores,
             criteria.sce(h_in, 2).d_scores + 0.7 * criteria.ice_id(h_in, 2).d_scores,
         )
-        np.testing.assert_allclose(criteria.ood_loss(cfg, h_out).d_scores, 0.7 * criteria.ice_ood(h_out).d_scores)
+        np.testing.assert_allclose(criteria.ood_loss(cfg, h_out, cfg.lam).d_scores, 0.7 * criteria.ice_ood(h_out).d_scores)
 
         cfg = criteria.CriterionConfig("ice_minus", lam=0.7)
-        np.testing.assert_allclose(criteria.id_loss(cfg, h_in, 2).d_scores, criteria.sce(h_in, 2).d_scores)
+        np.testing.assert_allclose(criteria.id_loss(cfg, h_in, 2, cfg.lam).d_scores, criteria.sce(h_in, 2).d_scores)
 
         cfg = criteria.CriterionConfig("oe")
         np.testing.assert_allclose(
-            criteria.ood_loss(cfg, scores_out).d_scores, 0.5 * criteria.oe_uniform(scores_out).d_scores
+            criteria.ood_loss(cfg, scores_out, cfg.lam).d_scores, 0.5 * criteria.oe_uniform(scores_out).d_scores
         )
 
         cfg = criteria.CriterionConfig("plain")
-        assert criteria.ood_loss(cfg, scores_out).value == 0.0
-        np.testing.assert_allclose(criteria.id_loss(cfg, scores_in, 0).d_scores, criteria.sce(scores_in, 0).d_scores)
+        assert criteria.ood_loss(cfg, scores_out, cfg.lam).value == 0.0
+        np.testing.assert_allclose(criteria.id_loss(cfg, scores_in, 0, cfg.lam).d_scores, criteria.sce(scores_in, 0).d_scores)
 
         cfg = criteria.CriterionConfig("bce", lam=1.0)
         onehot = np.zeros(k)
         onehot[1] = 1.0
         np.testing.assert_allclose(
-            criteria.id_loss(cfg, scores_in, 1).d_scores, criteria.bce_outlier(scores_in, onehot).d_scores
+            criteria.id_loss(cfg, scores_in, 1, cfg.lam).d_scores, criteria.bce_outlier(scores_in, onehot).d_scores
         )
         np.testing.assert_allclose(
-            criteria.ood_loss(cfg, scores_out).d_scores, criteria.bce_outlier(scores_out, np.zeros(k)).d_scores
+            criteria.ood_loss(cfg, scores_out, cfg.lam).d_scores, criteria.bce_outlier(scores_out, np.zeros(k)).d_scores
         )
 
     def test_explicit_weight_argument(self):
@@ -407,9 +407,9 @@ class TestBatchEqualsRows:
         h[2, 1] = 1e-9
         cfg = criteria.CriterionConfig(kind)
         with pytest.raises(InvalidScore):
-            criteria.id_loss(cfg, h, np.zeros(4, dtype=int))
+            criteria.id_loss(cfg, h, np.zeros(4, dtype=int), cfg.lam)
         with pytest.raises(InvalidScore):
-            criteria.ood_loss(cfg, h)
+            criteria.ood_loss(cfg, h, cfg.lam)
 
     def test_clamp_floor_in_batch(self):
         h = np.array([[0.0, -9.0], [-1e-13, -1.0], [-1.0, -9.0]])

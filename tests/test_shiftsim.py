@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from oodlab import criteria, gda, linalg, shiftsim
+from oodlab import criteria, gda, linalg, shiftsim, trainer
 from oracles import density_at_radius
 
 ZETA = density_at_radius(2.5)
+
+
+def shift_config(kind, **fields):
+    """The resolved training config ``run_shift_sim`` reads its head, criterion and weight from."""
+    return trainer.TrainConfig(criterion=criteria.CriterionConfig(kind), **fields)
 
 
 def planted_model():
@@ -113,13 +118,13 @@ class TestRunShiftSim:
     def test_lr_zero_freezes_features(self):
         bank = default_bank(n_in=20, n_out=10)
         model = gda.fit_gda(bank)
-        traj = shiftsim.run_shift_sim(criteria.CriterionConfig("oe"), bank, model, steps=5, lr=0.0, zeta=ZETA)
+        traj = shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=5, lr=0.0, zeta=ZETA)
         for step in range(6):
             np.testing.assert_array_equal(traj.snapshots[step], bank.features)
 
-    def test_gaussian_head_whitens_once_per_step(self, monkeypatch):
-        # Per step: one whitening in the head (its backward reuses the
-        # forward's) and one in shift_stats, plus shift_stats of the start.
+    @staticmethod
+    def whiten_calls(monkeypatch, config, steps=10):
+        """How many times a ``steps``-long simulation under ``config`` calls ``linalg.whiten``."""
         bank = default_bank(n_in=20, n_out=10)
         model = gda.fit_gda(bank)
         whiten = linalg.whiten
@@ -130,19 +135,30 @@ class TestRunShiftSim:
             return whiten(*args)
 
         monkeypatch.setattr(linalg, "whiten", counting)
-        shiftsim.run_shift_sim(criteria.CriterionConfig("ice"), bank, model, steps=10, lr=0.05, zeta=ZETA)
-        assert len(calls) == 2 * 10 + 1
+        shiftsim.run_shift_sim(config, bank, model, steps=steps, lr=0.05, zeta=ZETA)
+        return len(calls)
+
+    def test_gaussian_head_whitens_once_per_step(self, monkeypatch):
+        # Per step: one whitening in the head (its backward reuses the
+        # forward's) and one in shift_stats, plus shift_stats of the start.
+        assert self.whiten_calls(monkeypatch, shift_config("ice")) == 2 * 10 + 1
+
+    @pytest.mark.parametrize("head,per_step", [("auto", 1), ("gaussian", 2)])
+    def test_head_kind_comes_from_the_config(self, monkeypatch, head, per_step):
+        # energy resolves to the linear head, whose forward whitens nothing;
+        # asked for the Gaussian head, the simulation freezes that one instead
+        assert self.whiten_calls(monkeypatch, shift_config("energy", head=head)) == per_step * 10 + 1
 
     def test_oe_contracts_outlier_norms(self):
         bank = default_bank()
         model = gda.fit_gda(bank)
-        traj = shiftsim.run_shift_sim(criteria.CriterionConfig("oe"), bank, model, steps=100, lr=0.05, zeta=ZETA)
+        traj = shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=100, lr=0.05, zeta=ZETA)
         assert traj.stats[-1].mean_norm_out < traj.stats[0].mean_norm_out
 
     def test_ice_separates_populations(self):
         bank = default_bank()
         model = gda.fit_gda(bank)
-        traj = shiftsim.run_shift_sim(criteria.CriterionConfig("ice"), bank, model, steps=100, lr=0.05, zeta=ZETA)
+        traj = shiftsim.run_shift_sim(shift_config("ice"), bank, model, steps=100, lr=0.05, zeta=ZETA)
         assert traj.stats[-1].mean_nearest_center_out > traj.stats[0].mean_nearest_center_out
         assert traj.stats[-1].mean_own_center_in < traj.stats[0].mean_own_center_in
 
@@ -150,7 +166,7 @@ class TestRunShiftSim:
         # in-features move toward their center, outliers away from the nearest one
         bank = default_bank(n_in=60, n_out=30)
         model = gda.fit_gda(bank)
-        traj = shiftsim.run_shift_sim(criteria.CriterionConfig("ice"), bank, model, steps=30, lr=0.05, zeta=ZETA)
+        traj = shiftsim.run_shift_sim(shift_config("ice"), bank, model, steps=30, lr=0.05, zeta=ZETA)
         in_mask = bank.in_mask()
         cov_inv = np.linalg.inv(model.tied_cov)
         for step in range(traj.steps):
@@ -168,21 +184,21 @@ class TestRunShiftSim:
     def test_deterministic_trajectories(self):
         bank = default_bank(n_in=30, n_out=15)
         model = gda.fit_gda(bank)
-        a = shiftsim.run_shift_sim(criteria.CriterionConfig("ice"), bank, model, steps=10, lr=0.05, zeta=ZETA)
-        b = shiftsim.run_shift_sim(criteria.CriterionConfig("ice"), bank, model, steps=10, lr=0.05, zeta=ZETA)
+        a = shiftsim.run_shift_sim(shift_config("ice"), bank, model, steps=10, lr=0.05, zeta=ZETA)
+        b = shiftsim.run_shift_sim(shift_config("ice"), bank, model, steps=10, lr=0.05, zeta=ZETA)
         np.testing.assert_array_equal(a.snapshots, b.snapshots)
 
     def test_snapshot_count(self):
         bank = default_bank(n_in=10, n_out=5)
         model = gda.fit_gda(bank)
-        traj = shiftsim.run_shift_sim(criteria.CriterionConfig("oe"), bank, model, steps=7, lr=0.01, zeta=ZETA)
+        traj = shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=7, lr=0.01, zeta=ZETA)
         assert traj.snapshots.shape[0] == 8
         assert len(traj.stats) == 8
 
     def test_frozen_gaussian_head_matches_model(self):
         bank = default_bank(n_in=20, n_out=10)
         model = gda.fit_gda(bank)
-        head = shiftsim._frozen_head(criteria.CriterionConfig("ice"), model)
+        head = shiftsim._frozen_head("gaussian", model)
         np.testing.assert_allclose(head.materialize(), model.chol, atol=1e-12)
         np.testing.assert_allclose(head.means, model.means)
 
@@ -190,14 +206,14 @@ class TestRunShiftSim:
         bank = default_bank(n_in=10, n_out=5)
         model = gda.fit_gda(bank)
         with pytest.raises(ValueError):
-            shiftsim.run_shift_sim(criteria.CriterionConfig("oe"), bank, model, steps=0, lr=0.1, zeta=ZETA)
+            shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=0, lr=0.1, zeta=ZETA)
 
 
 class TestCsvExports:
     def test_headers_and_row_counts(self, tmp_path):
         bank = default_bank(n_in=6, n_out=4)
         model = gda.fit_gda(bank)
-        traj = shiftsim.run_shift_sim(criteria.CriterionConfig("oe"), bank, model, steps=3, lr=0.02, zeta=ZETA)
+        traj = shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=3, lr=0.02, zeta=ZETA)
         tpath = tmp_path / "trajectory.csv"
         spath = tmp_path / "stats.csv"
         shiftsim.trajectory_to_csv(traj, tpath)
