@@ -4,7 +4,8 @@ Every command takes ``--config <path>`` and ``--out <dir>`` (the latter
 overrides ``[output] dir``), plus ``--seed`` to override the config seed.
 Outputs are deterministic per (config, seed); wall-clock metadata is confined
 to the ``run_meta.json`` sidecar. Exit codes: 0 success, 2 config error,
-3 non-finite training, 4 I/O error.
+3 non-finite training, 4 I/O error; each failure code is one class in
+``oodlab.errors``, and an ``OSError`` also exits 4.
 """
 
 from __future__ import annotations
@@ -20,24 +21,12 @@ import time
 import numpy as np
 
 from . import criteria, trainer
-from .config import ConfigError, ExperimentConfig, load_config, resolved_ini
+from .config import ExperimentConfig, load_config, resolved_ini
+from .errors import ConfigError, MalformedData, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
-from .gda import (
-    DOMAIN_IN,
-    DOMAIN_OUT,
-    DegenerateCovariance,
-    EmptyClass,
-    InvalidThreshold,
-    LabeledSet,
-    MalformedData,
-    fit_gda,
-    sample_cluster_family,
-    sample_synthetic,
-)
+from .gda import DOMAIN_IN, DOMAIN_OUT, LabeledSet, fit_gda, sample_cluster_family, sample_synthetic
 from .seeding import component_seed
 from .shiftsim import (
-    NonFiniteState,
-    OneSidedThreshold,
     find_false_likelihood_pair,
     make_shift_bank,
     run_shift_sim,
@@ -183,7 +172,7 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
             final = logs[-1]
             report = final.report
             rows.append([kind, *map(format_cell, (gamma, report.aupr, report.auroc, report.fpr95, final.acc_in))])
-        except trainer.NonFiniteLoss as exc:
+        except NonFiniteState as exc:
             nan = format_cell(math.nan)
             rows.append([kind, format_cell(gamma), nan, nan, nan, nan])
             print(f"criterion={kind} gamma={gamma}: {exc}", file=sys.stderr)
@@ -193,10 +182,6 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
     return 0
 
 
-class NonFiniteFeatures(RuntimeError):
-    """A checkpoint's backbone maps an eval row to a non-finite feature."""
-
-
 def cmd_export_features(config: ExperimentConfig, out_dir: str, checkpoint: str) -> int:
     model = trainer.load_checkpoint(checkpoint)
     _, _, eval_in, eval_out = make_datasets(config)
@@ -204,7 +189,7 @@ def cmd_export_features(config: ExperimentConfig, out_dir: str, checkpoint: str)
     with np.errstate(over="ignore", invalid="ignore"):
         feats = [trainer.features_batch(model, data.features) for data in (eval_in, eval_out)]
     if not all(np.all(np.isfinite(f)) for f in feats):
-        raise NonFiniteFeatures(f"checkpoint {checkpoint} gives non-finite features")
+        raise NonFiniteState(f"checkpoint {checkpoint} gives non-finite features")
     path = os.path.join(out_dir, "features.csv")
     with open(path, "w", newline="") as fh:
         fh.write(join_cells(["idx", "domain"] + [f"z{j}" for j in range(model.backbone.out_dim)]) + CSV_END)
@@ -267,15 +252,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-features":
             return cmd_export_features(config, out_dir, args.checkpoint)
         raise AssertionError(args.command)
-    except (ConfigError, InvalidThreshold, OneSidedThreshold, trainer.DegenerateData, EmptyClass, DegenerateCovariance) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (trainer.NonFiniteLoss, NonFiniteState, NonFiniteFeatures) as exc:
-        print(f"non-finite training state: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, MalformedData, trainer.MalformedCheckpoint) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, NonFiniteState, MalformedData) as exc:
+        print(f"{exc.LABEL}: {exc}", file=sys.stderr)
+        return exc.EXIT_CODE
+    except OSError as exc:
+        print(f"{MalformedData.LABEL}: {exc}", file=sys.stderr)
+        return MalformedData.EXIT_CODE
 
 
 if __name__ == "__main__":

@@ -22,15 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria
+from .errors import ConfigError
 from .gda import ring_centers
 from .trainer import TrainConfig
 
 # Threshold default: the two-cluster density at radius 2.5 from a center.
 DEFAULT_ZETA = math.exp(-3.125) / math.tau
-
-
-class ConfigError(ValueError):
-    """A config file is malformed, has unknown keys, or holds invalid values."""
 
 
 @dataclass(frozen=True)

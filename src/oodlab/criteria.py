@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import InvalidScore
-
 KINDS = ("plain", "oe", "energy", "ice", "ice_minus", "bce")
 
 # Balance-weight defaults per criterion kind. The two ablation kinds reuse the
@@ -75,7 +73,7 @@ class CriterionConfig:
 def _check_nonpositive(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if np.any(h > 0):
-        raise InvalidScore("expected non-positive Gaussian-head scores")
+        raise ValueError("expected non-positive Gaussian-head scores")
     return h
 
 

@@ -19,28 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .errors import ConfigError, MalformedData
 from .floatrows import CSV_END, join_cells, write_csv_rows
 from .seeding import rng_from_seed
 
 DOMAIN_IN = "in"
 DOMAIN_OUT = "out"
 NO_LABEL = -1
-
-
-class EmptyClass(ValueError):
-    """Some class index in [0, K) has no in-distribution sample."""
-
-
-class DegenerateCovariance(ValueError):
-    """A fitted covariance, or a sampler's std^2 I, is not finite and positive-definite."""
-
-
-class InvalidThreshold(ValueError):
-    """The in/out density threshold is at or above the class density maximum."""
-
-
-class MalformedData(ValueError):
-    """A data CSV has a bad header, a short or unparsable row, or a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -153,17 +138,17 @@ def fit_gda(data: LabeledSet) -> GdaModel:
     the total sample count N (MLE normalization, not N - K).
 
     Raises:
-        EmptyClass: some class in [0, max(label)+1) has no sample.
-        DegenerateCovariance: the class means or the pooled covariance are
-            not finite, or the covariance is not positive-definite.
+        ConfigError: some class in [0, max(label)+1) has no sample, the
+            class means or the pooled covariance are not finite, or the
+            covariance is not positive-definite.
     """
     data = data.subset(data.in_mask())
     feats, labels = data.features, data.labels
     if feats.shape[0] == 0:
-        raise EmptyClass("no in-distribution samples")
+        raise ConfigError("no in-distribution samples")
     n_classes = int(labels.max()) + 1
     if n_classes < 2:
-        raise EmptyClass("need at least two classes")
+        raise ConfigError("need at least two classes")
     dim = feats.shape[1]
     means = np.zeros((n_classes, dim))
     scatter = np.zeros((dim, dim))
@@ -172,18 +157,18 @@ def fit_gda(data: LabeledSet) -> GdaModel:
         for k in range(n_classes):
             rows = feats[labels == k]
             if rows.shape[0] == 0:
-                raise EmptyClass(f"class {k} has no samples")
+                raise ConfigError(f"class {k} has no samples")
             means[k] = rows.mean(axis=0)
             centered = rows - means[k]
             scatter += centered.T @ centered
         cov = scatter / feats.shape[0]
         cov = 0.5 * (cov + cov.T)
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(cov))):
-        raise DegenerateCovariance("class means or pooled covariance overflow the float range")
+        raise ConfigError("class means or pooled covariance overflow the float range")
     try:
         chol = linalg.cholesky(cov)
     except linalg.NotPositiveDefinite as exc:
-        raise DegenerateCovariance(str(exc)) from exc
+        raise ConfigError(f"pooled covariance is not positive-definite: {exc}") from exc
     return GdaModel(means=means, tied_cov=cov, chol=chol)
 
 
@@ -235,7 +220,7 @@ def sample_synthetic(mu: float, zeta: float, n: int, seed: int, dims: int = 2) -
     Deterministic for a given (mu, zeta, n, seed, dims).
 
     Raises:
-        InvalidThreshold: when zeta >= the class density maximum, so that no
+        ConfigError: when zeta >= the class density maximum, so that no
             draw could ever be in-distribution.
     """
     if mu <= 0:
@@ -243,7 +228,7 @@ def sample_synthetic(mu: float, zeta: float, n: int, seed: int, dims: int = 2) -
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     if zeta >= density_max(dims):
-        raise InvalidThreshold(f"zeta={zeta!r} is at or above the density maximum {density_max(dims)!r}")
+        raise ConfigError(f"zeta={zeta!r} is at or above the density maximum {density_max(dims)!r}")
     rng = rng_from_seed(seed)
     draws = rng.standard_normal((n, dims))
     classes = np.arange(n) % 2
@@ -261,7 +246,7 @@ def sample_cluster_family(centers: np.ndarray, std: float, n: int, seed: int) ->
     NO_LABEL. Draws cycle through the centers in order.
 
     Raises:
-        DegenerateCovariance: ``std`` is so large that a draw is not finite.
+        ConfigError: ``std`` is so large that a draw is not finite.
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
@@ -273,7 +258,7 @@ def sample_cluster_family(centers: np.ndarray, std: float, n: int, seed: int) ->
     with np.errstate(over="ignore", invalid="ignore"):
         features = centers[picks] + std * rng.standard_normal((n, centers.shape[1]))
     if not np.all(np.isfinite(features)):
-        raise DegenerateCovariance(f"std={std!r} scales the cluster draws past the float range")
+        raise ConfigError(f"std={std!r} scales the cluster draws past the float range")
     return LabeledSet(features.reshape(n, centers.shape[1]), np.full(n, NO_LABEL, dtype=int))
 
 

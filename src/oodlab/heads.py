@@ -31,10 +31,6 @@ import numpy as np
 from . import linalg
 
 
-class InvalidScore(ValueError):
-    """A Gaussian-head operation received a score above zero."""
-
-
 @dataclass
 class LinearHeadParams:
     KIND: ClassVar[str] = "linear"
@@ -159,9 +155,9 @@ def ice_confidence(h: np.ndarray) -> np.ndarray:
     floating-point limit of the (0, 1] range.
 
     Raises:
-        InvalidScore: if any score is positive (not a Gaussian-head score).
+        ValueError: if any score is positive (not a Gaussian-head score).
     """
     h = np.asarray(h, dtype=float)
     if np.any(h > 0):
-        raise InvalidScore("confidence needs non-positive scores")
+        raise ValueError("confidence needs non-positive scores")
     return np.exp(h.max(axis=-1))

@@ -47,7 +47,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     for j in range(n):
         pivot = sym[j, j] - lower[j, :j] @ lower[j, :j]
         if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NotPositiveDefinite(f"pivot {pivot!r} at column {j}")
+            raise NotPositiveDefinite(f"pivot {float(pivot)!r} at column {j}")
         lower[j, j] = np.sqrt(pivot)
         if j + 1 < n:
             lower[j + 1 :, j] = (sym[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]

@@ -25,10 +25,6 @@ import numpy as np
 from .gda import DOMAIN_IN, DOMAIN_OUT
 
 
-class MissingDomain(ValueError):
-    """One of the two score arrays is empty."""
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     auroc: float
@@ -52,7 +48,7 @@ def _score_arrays(s_in: Sequence[float], s_out: Sequence[float]) -> tuple[np.nda
     if s_in.ndim != 1 or s_out.ndim != 1:
         raise ValueError("scores must be 1-D arrays")
     if s_in.size == 0 or s_out.size == 0:
-        raise MissingDomain("need at least one score per domain")
+        raise ValueError("need at least one score per domain")
     if not (np.all(np.isfinite(s_in)) and np.all(np.isfinite(s_out))):
         raise ValueError("scores must be finite")
     return s_in, s_out

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, heads
+from .errors import ConfigError, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
 from .gda import (
     DOMAIN_IN,
@@ -33,18 +34,6 @@ from .gda import (
     sq_mahalanobis,
 )
 from .trainer import TrainConfig
-
-
-class NonFiniteState(RuntimeError):
-    """A feature became non-finite during the simulation."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite feature state at step {step}")
-        self.step = step
-
-
-class OneSidedThreshold(ValueError):
-    """The density threshold tags too few draws in or out to fill a shift bank."""
 
 
 # Rows that all shift-bank draws together may use, per requested row. Redraws
@@ -141,8 +130,9 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
     Deterministic per seed.
 
     Raises:
-        OneSidedThreshold: the draws allowed by ``BANK_DRAW_BUDGET`` hold
-            too few rows of one tag.
+        ConfigError: the draws allowed by ``BANK_DRAW_BUDGET`` hold too few
+            rows of one tag, because the density threshold tags (almost)
+            every draw the same way.
     """
     wanted = n_in + n_out
     budget = max(256, BANK_DRAW_BUDGET * wanted)
@@ -157,7 +147,7 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
             keep = np.concatenate([in_rows[:n_in], out_rows[:n_out]])
             return data.subset(keep)
         batch *= 2
-    raise OneSidedThreshold(
+    raise ConfigError(
         f"zeta={zeta!r} tags {len(in_rows)} in and {len(out_rows)} out rows of {len(data)} draws; "
         f"the shift bank needs n_in={n_in} and n_out={n_out}"
     )
@@ -166,26 +156,24 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
 def shift_stats(
     features: np.ndarray, labels: np.ndarray, domain: np.ndarray, model: GdaModel, zeta: float
 ) -> ShiftStats:
-    """Summaries of one snapshot against the frozen model and threshold."""
+    """Summaries of one snapshot against the frozen model and threshold.
+
+    A statistic that overflows comes back as inf or NaN, with no numpy
+    warning; ``run_shift_sim`` reports it.
+    """
     features = np.asarray(features, dtype=float)
     in_mask = np.asarray(domain) == DOMAIN_IN
-    sq_mahal = sq_mahalanobis(model, features)
-
     out_rows = ~in_mask
-    if out_rows.any():
-        mean_norm_out = float(np.linalg.norm(features[out_rows], axis=1).mean())
-        nearest = sq_mahal[out_rows].min(axis=1)
-        mean_nearest_center_out = float(nearest.mean())
-        mixed_fraction = float(np.mean(np.exp(log_density(model, nearest)) > zeta))
-    else:
-        mean_norm_out = math.nan
-        mean_nearest_center_out = math.nan
-        mixed_fraction = math.nan
-    if in_mask.any():
-        own = sq_mahal[in_mask, np.asarray(labels)[in_mask]]
-        mean_own_center_in = float(own.mean())
-    else:
-        mean_own_center_in = math.nan
+    mean_norm_out = mean_nearest_center_out = mean_own_center_in = mixed_fraction = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_mahal = sq_mahalanobis(model, features)
+        if out_rows.any():
+            mean_norm_out = float(np.linalg.norm(features[out_rows], axis=1).mean())
+            nearest = sq_mahal[out_rows].min(axis=1)
+            mean_nearest_center_out = float(nearest.mean())
+            mixed_fraction = float(np.mean(np.exp(log_density(model, nearest)) > zeta))
+        if in_mask.any():
+            mean_own_center_in = float(sq_mahal[in_mask, np.asarray(labels)[in_mask]].mean())
     return ShiftStats(mean_norm_out, mean_nearest_center_out, mean_own_center_in, mixed_fraction)
 
 
@@ -213,8 +201,10 @@ def run_shift_sim(
     deterministic and draws no randomness.
 
     Raises:
-        NonFiniteState: when any feature stops being finite, which the
-            unbounded energy objective can produce at large weights.
+        ConfigError: a statistic of the bank itself overflows.
+        NonFiniteState: when a step makes any feature, or a statistic of a
+            side that has rows, non-finite; the unbounded energy objective
+            at large weights and a huge ``lr`` both do.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -228,7 +218,18 @@ def run_shift_sim(
     labels = bank.labels
     snapshots = np.empty((steps + 1, feats.shape[0], feats.shape[1]))
     snapshots[0] = feats
+    # A side with no rows has NaN statistics by design; any other non-finite
+    # statistic is an overflow.
+    has_in, has_out = in_mask.any(), not in_mask.all()
+    filled = (has_out, has_out, has_in, has_out)
+
+    def finite(st: ShiftStats) -> bool:
+        values = (st.mean_norm_out, st.mean_nearest_center_out, st.mean_own_center_in, st.mixed_fraction)
+        return all(math.isfinite(v) for v, has_rows in zip(values, filled) if has_rows)
+
     stats = [shift_stats(feats, labels, bank.domain, head_source, zeta)]
+    if not finite(stats[0]):
+        raise ConfigError("shift bank statistics overflow the float range")
 
     for step in range(steps):
         # Overflow is reported through NonFiniteState, so silence the warnings.
@@ -240,9 +241,11 @@ def run_shift_sim(
             d_feats, _ = heads.backward(head, head_cache, upstream)
             feats = feats - lr * d_feats
         if not np.all(np.isfinite(feats)):
-            raise NonFiniteState(step)
+            raise NonFiniteState(f"non-finite feature state at step {step}", step)
         snapshots[step + 1] = feats
         stats.append(shift_stats(feats, labels, bank.domain, head_source, zeta))
+        if not finite(stats[-1]):
+            raise NonFiniteState(f"non-finite shift statistics at step {step}", step)
 
     return ShiftTrajectory(snapshots=snapshots, labels=labels.copy(), stats=stats)
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import criteria, heads, metrics
+from .errors import ConfigError, MalformedData, NonFiniteState
 from .floatrows import float_rows
 from .gda import DOMAIN_IN, DOMAIN_OUT, LabeledSet
 from .seeding import component_rng
@@ -36,26 +37,6 @@ SCHEDULES = ("cosine", "stairwise")
 SCORERS = ("msp", "max_logit", "energy_score", "ice_conf")
 
 STAIRWISE_MILESTONES = (0.5, 0.75)  # fractions of total steps; each multiplies lr by 0.1
-
-
-class NonFiniteLoss(RuntimeError):
-    """Training hit a non-finite loss; the step index is attached."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
-        self.step = step
-
-
-class IncompatibleScorer(ValueError):
-    """The requested scorer cannot be computed on this head kind."""
-
-
-class DegenerateData(ValueError):
-    """The training or eval sets cannot support the configured run."""
-
-
-class MalformedCheckpoint(ValueError):
-    """A checkpoint file is truncated or holds values that do not parse."""
 
 
 @dataclass(frozen=True)
@@ -121,9 +102,9 @@ def resolve_scorer(scorer: str, head_kind: str, criterion: criteria.CriterionCon
 
 def _check_scorer(scorer: str, head_kind: str) -> str:
     if scorer not in SCORERS:
-        raise IncompatibleScorer(f"unknown scorer {scorer!r}")
+        raise ConfigError(f"unknown scorer {scorer!r}")
     if scorer == "ice_conf" and head_kind != heads.GaussianHeadParams.KIND:
-        raise IncompatibleScorer("ice_conf needs the gaussian head")
+        raise ConfigError("ice_conf needs the gaussian head")
     return scorer
 
 
@@ -197,23 +178,27 @@ def param_items(model: Model) -> list[tuple[str, np.ndarray]]:
 
 
 def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
-    """Seeded backbone and head; Gaussian means start at the class feature means."""
+    """Seeded backbone and head; Gaussian means start at the class feature means.
+
+    Either head is rejected with ConfigError when a class has no training
+    sample or the initial class feature means overflow the float range.
+    """
     n_classes = int(train_in.labels.max()) + 1
     if n_classes < 2:
-        raise DegenerateData("need at least two classes")
+        raise ConfigError("need at least two classes")
     widths = (train_in.dim,) + tuple(config.hidden) + (config.feature_dim,)
     net = bb.init_mlp(widths, component_rng(config.seed, "backbone_init"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats, _ = bb.forward_batch(net, train_in.features)
+        class_means = np.zeros((n_classes, config.feature_dim))
+        for k in range(n_classes):
+            rows = feats[train_in.labels == k]
+            if rows.shape[0] == 0:
+                raise ConfigError(f"class {k} has no training samples")
+            class_means[k] = rows.mean(axis=0)
+    if not np.all(np.isfinite(class_means)):
+        raise ConfigError("class feature means overflow the float range")
     if config.head == heads.GaussianHeadParams.KIND:
-        with np.errstate(over="ignore", invalid="ignore"):
-            feats, _ = bb.forward_batch(net, train_in.features)
-            class_means = np.zeros((n_classes, config.feature_dim))
-            for k in range(n_classes):
-                rows = feats[train_in.labels == k]
-                if rows.shape[0] == 0:
-                    raise DegenerateData(f"class {k} has no training samples")
-                class_means[k] = rows.mean(axis=0)
-        if not np.all(np.isfinite(class_means)):
-            raise DegenerateData("class feature means overflow the float range")
         # tri_raw = 0 is the identity factor: initial scores are negative squared distances.
         head = heads.GaussianHeadParams(means=class_means, tri_raw=np.zeros((config.feature_dim,) * 2))
     else:
@@ -331,7 +316,7 @@ def _epoch_log(
     # score_samples on each set bit for bit.
     # The Gaussian head's confidence lies in (0, 1] under any criterion.
     hist_scorer = "ice_conf" if config.head == heads.GaussianHeadParams.KIND else "max_logit"
-    # As in batch_gradients, overflow surfaces as the NonFiniteLoss below.
+    # As in batch_gradients, overflow surfaces as the NonFiniteState below.
     with np.errstate(over="ignore", invalid="ignore"):
         scores_in = scores_batch(model, eval_in.features)
         scores_out = scores_batch(model, eval_out.features)
@@ -339,7 +324,7 @@ def _epoch_log(
         conf_out = _scorer_values(scores_out, hist_scorer)
     combined = np.concatenate([conf_in, conf_out])
     if not np.all(np.isfinite(combined)):
-        raise NonFiniteLoss(step)
+        raise NonFiniteState(f"non-finite loss at step {step}", step)
     report = metrics.compute_report(
         _scorer_values(scores_in, config.scorer),
         _scorer_values(scores_out, config.scorer),
@@ -385,19 +370,23 @@ def train(
     ``batch_gradients`` itself stays raw.
 
     Raises:
-        NonFiniteLoss: training is aborted the first time a batch loss is
-            not finite (the expected failure mode of the unbounded energy
-            objective at large gamma).
+        ConfigError: the data cannot support the run (an empty set, fewer
+            than two classes, no outliers for an outlier criterion, or
+            initial class feature means that overflow).
+        NonFiniteState: training is aborted the first time a batch loss, a
+            parameter or an epoch's eval score is not finite (the expected
+            failure mode of the unbounded energy objective at large gamma);
+            its ``step`` is the zero-based update step.
     """
     if len(train_in) == 0 or len(eval_in) == 0 or len(eval_out) == 0:
-        raise DegenerateData("training and eval sets must be nonempty")
+        raise ConfigError("training and eval sets must be nonempty")
     weight = config.outlier_weight
     # A zero effective weight removes every outlier term from the objective,
     # so the outlier loader is skipped entirely; this makes zero-weight runs
     # match plain training step for step.
     use_out = config.criterion.kind != "plain" and weight > 0.0
     if use_out and len(train_out) == 0:
-        raise DegenerateData(f"criterion {config.criterion.kind!r} needs outlier training data")
+        raise ConfigError(f"criterion {config.criterion.kind!r} needs outlier training data")
     model = build_model(config, train_in)
     bound = model.head.GRAD_NORM_BOUND
     # The parameter arrays are updated in place, so one list serves every step.
@@ -428,7 +417,7 @@ def train(
                 model, config.criterion, weight, batch_x, batch_y, out_x
             )
             if not math.isfinite(loss_in + loss_out):
-                raise NonFiniteLoss(global_step)
+                raise NonFiniteState(f"non-finite loss at step {global_step}", global_step)
             grad_norm = math.sqrt(sum(float(np.vdot(grad, grad)) for grad in grads.values()))
             if grad_norm > bound:
                 for grad in grads.values():
@@ -440,7 +429,7 @@ def train(
                 vel += grads[name]
                 arr -= lr * vel
             if any(not np.all(np.isfinite(arr)) for _, arr in params):
-                raise NonFiniteLoss(global_step)
+                raise NonFiniteState(f"non-finite loss at step {global_step}", global_step)
             epoch_loss_in += loss_in
             epoch_loss_out += loss_out
             global_step += 1
@@ -478,7 +467,7 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model from ``save_checkpoint`` output.
 
     Raises:
-        MalformedCheckpoint: the file is truncated (every line of a complete
+        MalformedData: the file is truncated (every line of a complete
             file ends in a newline), lacks an entry, or holds a value that
             does not parse or is not finite.
         OSError: the file cannot be read.
@@ -490,9 +479,9 @@ def load_checkpoint(path) -> Model:
             raise ValueError("truncated: no final newline")
         return _model_from_entries(dict(line.partition("=")[::2] for line in text.splitlines() if line))
     except KeyError as exc:
-        raise MalformedCheckpoint(f"checkpoint {path} has no {exc} entry") from exc
+        raise MalformedData(f"checkpoint {path} has no {exc} entry") from exc
     except ValueError as exc:
-        raise MalformedCheckpoint(f"checkpoint {path}: {exc}") from exc
+        raise MalformedData(f"checkpoint {path}: {exc}") from exc
 
 
 def _model_from_entries(entries: dict[str, str]) -> Model:

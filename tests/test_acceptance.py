@@ -13,6 +13,7 @@ import pytest
 
 from oodlab import backbone, cli, criteria, gda, heads, metrics, trainer
 from oodlab.config import DEFAULT_ZETA, load_config
+from oodlab.errors import NonFiniteState
 from oodlab.seeding import component_seed
 from oodlab.shiftsim import make_shift_bank, run_shift_sim
 from oracles import (
@@ -481,7 +482,7 @@ class TestCriterion7SeedRobustness:
             config = load_config(path, seed_override=seed)
             try:
                 _, logs = trainer.train(config.train, *cli.make_datasets(config))
-            except trainer.NonFiniteLoss as exc:
+            except NonFiniteState as exc:
                 weak.append((seed, str(exc)))
                 continue
             final = logs[-1]

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import configparser
 import csv
 import json
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodlab import cli, criteria, gda, shiftsim, trainer
+from oodlab import cli, criteria, errors, gda, shiftsim, trainer
 from oodlab.config import DEFAULT_ZETA, load_config
 from oodlab.seeding import component_seed
 
@@ -180,7 +182,9 @@ class TestDegenerateConfigs:
             ("demo-false-likelihood", {"data": {"n": "2"}}),
             ("simulate-shift", {"data": {"mu": "1e308"}}),
             ("train", {"data": {"mu": "1e308"}}),
+            ("train", {"criterion": {"kind": "plain"}, "data": {"mu": "1e308"}}),
             ("train", {"data": {"hard_std": "1e308"}}),
+            ("simulate-shift", {"data": {"mu": "1e160"}}),
         ],
         ids=[
             "feature_dim",
@@ -204,7 +208,9 @@ class TestDegenerateConfigs:
             "demo_n_2",
             "shift_mu_1e308",
             "train_mu_1e308",
+            "train_plain_mu_1e308",
             "hard_std_1e308",
+            "shift_mu_1e160",
         ],
     )
     def test_rejected_with_config_error(self, tmp_path, capsys, command, overrides):
@@ -212,6 +218,7 @@ class TestDegenerateConfigs:
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert "np.float64" not in err
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini")
@@ -347,6 +354,17 @@ class TestSimulateShift:
     def test_zero_steps_rejected(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", {"shift": {"steps": "0"}})
         assert cli.main(["simulate-shift", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_huge_lr_is_non_finite(self, tmp_path, capsys):
+        # The features stay finite (about 1e298), but their norms overflow.
+        cfg = shift_oe_ini(tmp_path / "c.ini", {"shift": {"lr": "1e300"}})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate-shift", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "non-finite training state: non-finite shift statistics at step 0\n"
+        assert not (out / "trajectory.csv").exists() and not (out / "stats.csv").exists()
 
 
 class TestTrain:
@@ -539,3 +557,44 @@ class TestExportFeatures:
             ["export-features", "--config", cfg, "--out", str(tmp_path / "o"), "--checkpoint", str(tmp_path / "none.txt")]
         )
         assert code == 4
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "exc_type, code, label",
+        [
+            (errors.ConfigError, 2, "config error"),
+            (errors.NonFiniteState, 3, "non-finite training state"),
+            (errors.MalformedData, 4, "io error"),
+            (OSError, 4, "io error"),
+        ],
+        ids=["config", "non_finite", "malformed", "os_error"],
+    )
+    def test_one_clause_maps_each_class(self, tmp_path, capsys, monkeypatch, exc_type, code, label):
+        def failing(config, out_dir):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "cmd_gen_data", failing)
+        cfg = write_ini(tmp_path / "c.ini")
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{label}: boom\n"
+
+    def test_only_the_exit_classes_are_defined(self):
+        # Every exception class in the package, as (module, class): the three
+        # exit classes, and the pivot signal that fit_gda turns into a ConfigError.
+        bases = {}
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    bases[path.stem, node.name] = {getattr(base, "id", getattr(base, "attr", "")) for base in node.bases}
+        known = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+        found = set()
+        while new := {key for key, names in bases.items() if names & known} - found:
+            found |= new
+            known |= {name for _, name in new}
+        assert found == {
+            ("errors", "ConfigError"),
+            ("errors", "NonFiniteState"),
+            ("errors", "MalformedData"),
+            ("linalg", "NotPositiveDefinite"),
+        }

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oodlab import criteria
-from oodlab.heads import InvalidScore
 from oracles import central_difference, max_rel_error
 
 finite_scores = st.lists(
@@ -172,7 +171,7 @@ class TestIceId:
         np.testing.assert_allclose(rep.d_scores, [-1.0, 0.0])
 
     def test_rejects_positive_scores(self):
-        with pytest.raises(InvalidScore):
+        with pytest.raises(ValueError, match="expected non-positive Gaussian-head scores"):
             criteria.ice_id(np.array([0.5, -1.0]), 0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -203,7 +202,7 @@ class TestIceOod:
         assert rep.d_scores[0] == 0.0 and rep.d_scores[2] == 0.0
 
     def test_rejects_positive_scores(self):
-        with pytest.raises(InvalidScore):
+        with pytest.raises(ValueError, match="expected non-positive Gaussian-head scores"):
             criteria.ice_ood(np.array([0.5, -1.0]))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -406,9 +405,9 @@ class TestBatchEqualsRows:
         h = -np.arange(1.0, 13.0).reshape(4, 3)
         h[2, 1] = 1e-9
         cfg = criteria.CriterionConfig(kind)
-        with pytest.raises(InvalidScore):
+        with pytest.raises(ValueError, match="expected non-positive Gaussian-head scores"):
             criteria.id_loss(cfg, h, np.zeros(4, dtype=int), cfg.lam)
-        with pytest.raises(InvalidScore):
+        with pytest.raises(ValueError, match="expected non-positive Gaussian-head scores"):
             criteria.ood_loss(cfg, h, cfg.lam)
 
     def test_clamp_floor_in_batch(self):

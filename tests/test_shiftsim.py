@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oodlab import criteria, gda, linalg, shiftsim, trainer
+from oodlab.errors import ConfigError
 from oracles import density_at_radius
 
 ZETA = density_at_radius(2.5)
@@ -77,7 +78,7 @@ class TestMakeShiftBank:
             return sample(mu, zeta, n, seed, dims=dims)
 
         monkeypatch.setattr(shiftsim, "sample_synthetic", counting_sample)
-        with pytest.raises(shiftsim.OneSidedThreshold):
+        with pytest.raises(ConfigError, match="the shift bank needs n_in=200 and n_out=200"):
             shiftsim.make_shift_bank(3.0, zeta, 200, 200, seed=5)
         assert sum(drawn) <= shiftsim.BANK_DRAW_BUDGET * 400
 

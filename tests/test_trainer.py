@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oodlab import criteria, gda, linalg, trainer
+from oodlab.errors import ConfigError, NonFiniteState
 from oodlab.seeding import component_seed
 from oracles import density_at_radius, max_rel_error, outlier_take_oracle
 
@@ -77,7 +78,7 @@ class TestConfigResolution:
             quick_config("ice", head="linear")
 
     def test_ice_conf_needs_gaussian(self):
-        with pytest.raises(trainer.IncompatibleScorer):
+        with pytest.raises(ConfigError, match="ice_conf needs the gaussian head"):
             trainer.resolve_scorer("ice_conf", "linear", criteria.CriterionConfig("oe"))
 
     def test_auto_scorer(self):
@@ -153,7 +154,7 @@ class TestEvaluate:
     def test_ice_conf_on_linear_rejected(self):
         data = small_splits()
         model, _ = trainer.train(quick_config("plain", epochs=1), *data)
-        with pytest.raises(trainer.IncompatibleScorer):
+        with pytest.raises(ConfigError, match="ice_conf needs the gaussian head"):
             trainer.evaluate(model, data[2], data[3], "ice_conf")
 
     def test_ice_confidences_in_unit_interval(self):
@@ -171,12 +172,12 @@ class TestEvaluate:
             assert np.all(np.isfinite(values))
 
 
-class TestNonFiniteLoss:
+class TestNonFiniteState:
     def test_energy_blowup_aborts_with_step(self):
         # the unbounded energy objective at a large outlier weight
         data = small_splits()
         cfg = quick_config("energy", schedule="stairwise", initial_lr=0.1, epochs=10, gamma=9.0)
-        with pytest.raises(trainer.NonFiniteLoss) as excinfo:
+        with pytest.raises(NonFiniteState, match="non-finite loss at step") as excinfo:
             trainer.train(cfg, *data)
         assert excinfo.value.step >= 0
 
@@ -260,7 +261,7 @@ class TestEpochEval:
         steps_per_epoch = math.ceil(len(train_in) / cfg.batch_in)
         train_rows = cfg.epochs * (len(train_in) + steps_per_epoch * cfg.batch_out)
         eval_rows = cfg.epochs * (len(eval_in) + len(eval_out))
-        init_rows = len(train_in) if head == "gaussian" else 0  # Gaussian means start at class feature means
+        init_rows = len(train_in)  # both heads check the initial class feature means
         assert sum(rows) == train_rows + eval_rows + init_rows
 
     def test_whitens_once_per_step(self, monkeypatch):
