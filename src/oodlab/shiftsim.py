@@ -16,7 +16,7 @@ statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -219,13 +219,12 @@ def run_shift_sim(
     snapshots = np.empty((steps + 1, feats.shape[0], feats.shape[1]))
     snapshots[0] = feats
     # A side with no rows has NaN statistics by design; any other non-finite
-    # statistic is an overflow.
+    # statistic is an overflow. ``filled`` follows the ShiftStats field order.
     has_in, has_out = in_mask.any(), not in_mask.all()
     filled = (has_out, has_out, has_in, has_out)
 
     def finite(st: ShiftStats) -> bool:
-        values = (st.mean_norm_out, st.mean_nearest_center_out, st.mean_own_center_in, st.mixed_fraction)
-        return all(math.isfinite(v) for v, has_rows in zip(values, filled) if has_rows)
+        return all(math.isfinite(v) for v, has_rows in zip(astuple(st), filled) if has_rows)
 
     stats = [shift_stats(feats, labels, bank.domain, head_source, zeta)]
     if not finite(stats[0]):
@@ -263,9 +262,7 @@ def trajectory_to_csv(trajectory: ShiftTrajectory, path) -> None:
 
 def stats_to_csv(trajectory: ShiftTrajectory, path) -> None:
     """One CSV row of ``ShiftStats`` per step; a statistic with no rows to average is ``NaN``."""
-    rows = [["step", "mean_norm_out", "mean_nearest_center_out", "mean_own_center_in", "mixed_fraction"]]
-    for step, st in enumerate(trajectory.stats):
-        values = (st.mean_norm_out, st.mean_nearest_center_out, st.mean_own_center_in, st.mixed_fraction)
-        rows.append([step, *map(format_cell, values)])
+    rows = [["step", *(field.name for field in fields(ShiftStats))]]
+    rows += [[step, *map(format_cell, astuple(st))] for step, st in enumerate(trajectory.stats)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(join_cells(row) + CSV_END for row in rows))

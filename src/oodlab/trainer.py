@@ -2,8 +2,11 @@
 
 Each step draws a batch of in-distribution samples and an independent batch of
 outliers (the dual-loader protocol), forms the criterion's two branches, and
-applies one momentum-SGD update to every parameter, with the global gradient
-norm clipped at the head's ``GRAD_NORM_BOUND``. The head is reached only
+applies one momentum-SGD update, with the global gradient norm clipped at the
+head's ``GRAD_NORM_BOUND``. Every parameter is a view of one float64 vector,
+``Model.flat``, and ``batch_gradients`` returns one gradient vector in the
+same layout, so the norm, the clip, the momentum update and the finiteness
+check are one array operation each. The head is reached only
 through ``heads.forward``/``heads.backward`` and its params' fields, so no
 code here branches on its kind. Evaluation runs per epoch:
 it forwards each eval set once and reads accuracy, the detector metrics and a
@@ -110,8 +113,26 @@ def _check_scorer(scorer: str, head_kind: str) -> str:
 
 @dataclass
 class Model:
+    """Backbone and head whose parameters are views of one float64 buffer.
+
+    Construction copies every parameter into ``flat``, laid out in
+    ``param_items`` order, and rebinds each field to its slice. An in-place
+    update of ``flat`` moves every weight, and the gradient vector of
+    ``batch_gradients`` lines up with it index for index.
+    """
+
     backbone: bb.MlpParams
     head: heads.LinearHeadParams | heads.GaussianHeadParams
+    flat: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        slots = _param_slots(self)
+        self.flat = np.concatenate([np.ravel(getattr(owner, attr)) for _, owner, attr in slots])
+        offset = 0
+        for _, owner, attr in slots:
+            arr = getattr(owner, attr)
+            setattr(owner, attr, self.flat[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
 
     @property
     def head_kind(self) -> str:
@@ -167,14 +188,16 @@ def lr_at(schedule: str, initial_lr: float, step: int, total_steps: int) -> floa
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
+def _param_slots(model: Model) -> list[tuple[str, object, str]]:
+    """(name, owner, attribute) of every parameter, in ``Model.flat`` order."""
+    layers = enumerate(model.backbone.layers)
+    slots = [(f"backbone.{i}.{attr}", layer, attr) for i, layer in layers for attr in ("weight", "bias")]
+    return slots + [(f"head.{field.name}", model.head, field.name) for field in dataclasses.fields(model.head)]
+
+
 def param_items(model: Model) -> list[tuple[str, np.ndarray]]:
-    items = []
-    for i, layer in enumerate(model.backbone.layers):
-        items.append((f"backbone.{i}.weight", layer.weight))
-        items.append((f"backbone.{i}.bias", layer.bias))
-    for field in dataclasses.fields(model.head):
-        items.append((f"head.{field.name}", getattr(model.head, field.name)))
-    return items
+    """(name, array) of every parameter in ``Model.flat`` order; each array is a view of it."""
+    return [(name, getattr(owner, attr)) for name, owner, attr in _param_slots(model)]
 
 
 def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
@@ -253,11 +276,14 @@ def batch_gradients(
     in_x: np.ndarray,
     in_y: np.ndarray,
     out_x: np.ndarray,
-) -> tuple[float, float, dict[str, np.ndarray]]:
+) -> tuple[float, float, np.ndarray]:
     """Branch losses and the gradient of their sum for one dual batch.
 
     Both branches are means over their batch; the same code path serves the
-    training step and the finite-difference audit.
+    training step and the finite-difference audit. The gradient is one 1-D
+    vector laid out as ``model.flat``: each ``param_items`` entry's gradient,
+    raveled row-major, in that order (backbone layers' weight and bias, then
+    the head's fields).
     """
     n_in = in_x.shape[0]
     n_out = out_x.shape[0]
@@ -274,12 +300,10 @@ def batch_gradients(
         loss_out = float(out_rep.value.mean()) if n_out else 0.0
 
         d_feats, head_grads = heads.backward(model.head, head_cache, upstream)
-        grads = {f"head.{name}": grad for name, grad in head_grads.items()}
         layer_grads, _ = bb.backward_batch(model.backbone, cache, d_feats)
-        for i, (d_weight, d_bias) in enumerate(layer_grads):
-            grads[f"backbone.{i}.weight"] = d_weight
-            grads[f"backbone.{i}.bias"] = d_bias
-    return loss_in, loss_out, grads
+    parts = [grad for pair in layer_grads for grad in pair]
+    parts += [head_grads[field.name] for field in dataclasses.fields(model.head)]
+    return loss_in, loss_out, np.concatenate([np.ravel(grad) for grad in parts])
 
 
 class _OutlierCycler:
@@ -324,7 +348,7 @@ def _epoch_log(
         conf_out = _scorer_values(scores_out, hist_scorer)
     combined = np.concatenate([conf_in, conf_out])
     if not np.all(np.isfinite(combined)):
-        raise NonFiniteState(f"non-finite loss at step {step}", step)
+        raise NonFiniteState(f"non-finite eval score after step {step}", step)
     report = metrics.compute_report(
         _scorer_values(scores_in, config.scorer),
         _scorer_values(scores_out, config.scorer),
@@ -366,8 +390,10 @@ def train(
     the outlier set is cycled independently on its own stream. Everything is
     deterministic given the config (including its seed).
 
-    Each step's gradients are clipped after the finite-loss check;
-    ``batch_gradients`` itself stays raw.
+    Each step's gradient vector is clipped to the head's global-norm bound
+    after the finite-loss check; ``batch_gradients`` itself stays raw. The
+    momentum update then runs on ``model.flat`` and one velocity vector of
+    the same layout.
 
     Raises:
         ConfigError: the data cannot support the run (an empty set, fewer
@@ -376,7 +402,8 @@ def train(
         NonFiniteState: training is aborted the first time a batch loss, a
             parameter or an epoch's eval score is not finite (the expected
             failure mode of the unbounded energy objective at large gamma);
-            its ``step`` is the zero-based update step.
+            its message says which, naming the first non-finite parameter,
+            and its ``step`` is the zero-based update step.
     """
     if len(train_in) == 0 or len(eval_in) == 0 or len(eval_out) == 0:
         raise ConfigError("training and eval sets must be nonempty")
@@ -389,10 +416,7 @@ def train(
         raise ConfigError(f"criterion {config.criterion.kind!r} needs outlier training data")
     model = build_model(config, train_in)
     bound = model.head.GRAD_NORM_BOUND
-    # The parameter arrays are updated in place, so one list serves every step.
-    params = param_items(model)
-
-    velocity = {name: np.zeros_like(arr) for name, arr in params}
+    velocity = np.zeros_like(model.flat)
     in_rng = component_rng(config.seed, "batch_in")
     out_rng = component_rng(config.seed, "batch_out")
     cycler = _OutlierCycler(len(train_out), out_rng) if use_out else None
@@ -413,23 +437,19 @@ def train(
             batch_x = train_in.features[chunk]
             batch_y = train_in.labels[chunk]
             out_x = train_out.features[cycler.take(config.batch_out)] if use_out else empty_out
-            loss_in, loss_out, grads = batch_gradients(
-                model, config.criterion, weight, batch_x, batch_y, out_x
-            )
+            loss_in, loss_out, grad = batch_gradients(model, config.criterion, weight, batch_x, batch_y, out_x)
             if not math.isfinite(loss_in + loss_out):
                 raise NonFiniteState(f"non-finite loss at step {global_step}", global_step)
-            grad_norm = math.sqrt(sum(float(np.vdot(grad, grad)) for grad in grads.values()))
+            grad_norm = math.sqrt(float(np.vdot(grad, grad)))
             if grad_norm > bound:
-                for grad in grads.values():
-                    grad *= bound / grad_norm
+                grad *= bound / grad_norm
             lr = lr_at(config.schedule, config.initial_lr, global_step, total_steps)
-            for name, arr in params:
-                vel = velocity[name]
-                vel *= config.momentum
-                vel += grads[name]
-                arr -= lr * vel
-            if any(not np.all(np.isfinite(arr)) for _, arr in params):
-                raise NonFiniteState(f"non-finite loss at step {global_step}", global_step)
+            velocity *= config.momentum
+            velocity += grad
+            model.flat -= lr * velocity
+            if not np.all(np.isfinite(model.flat)):
+                name = next(name for name, arr in param_items(model) if not np.all(np.isfinite(arr)))
+                raise NonFiniteState(f"parameter {name} is non-finite after step {global_step}", global_step)
             epoch_loss_in += loss_in
             epoch_loss_out += loss_out
             global_step += 1

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -455,13 +456,22 @@ class TestSweep:
         ]
 
     def test_diverging_oe_writes_nan_row(self, tmp_path):
-        # The run overflows while an epoch is evaluated; that must surface as
-        # a NaN row, not as a RuntimeWarning (an error under this suite).
+        # The run overflows a parameter; that must surface as a NaN row, not
+        # as a RuntimeWarning (an error under this suite).
         out = tmp_path / "o"
         argv = ["sweep-lambda", "--config", str(CONFIGS / "sweep.ini"), "--out", str(out)]
         assert cli.main(argv + ["--gammas", "1e6", "--criteria", "oe"]) == 0
         rows = list(csv.DictReader(open(out / "sweep.csv")))
         assert [(r["criterion"], r["auroc"], r["acc_in"]) for r in rows] == [("oe", "NaN", "NaN")]
+
+    def test_diverging_oe_names_the_parameter(self, tmp_path, capsys):
+        # The step's batch losses are finite (about 1e264 and 1e270); the
+        # update is what overflows, so the message names a parameter.
+        argv = ["sweep-lambda", "--config", str(CONFIGS / "sweep.ini"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ["--gammas", "1e6", "--criteria", "oe"]) == 0
+        err = capsys.readouterr().err
+        assert "non-finite loss" not in err
+        assert re.search(r"parameter (backbone\.\d+|head)\.\w+ is non-finite after step \d+", err), err
 
     @pytest.mark.parametrize("kinds, gammas", [("oe,bogus", "1"), ("oe", "1,-1")], ids=["bad_kind", "negative_gamma"])
     def test_bad_cell_rejected_before_training(self, tmp_path, capsys, monkeypatch, kinds, gammas):

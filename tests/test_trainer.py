@@ -92,9 +92,7 @@ class TestDeterminism:
         cfg = quick_config("ice", epochs=2)
         model_a, logs_a = trainer.train(cfg, *data)
         model_b, logs_b = trainer.train(cfg, *data)
-        for (name_a, arr_a), (name_b, arr_b) in zip(trainer.param_items(model_a), trainer.param_items(model_b)):
-            assert name_a == name_b
-            np.testing.assert_array_equal(arr_a, arr_b)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
         assert [l.to_json_dict() for l in logs_a] == [l.to_json_dict() for l in logs_b]
 
     def test_seed_changes_run(self):
@@ -117,8 +115,7 @@ class TestPlainParity:
         plain = quick_config("plain", epochs=2, head=head)
         model_a, logs_a = trainer.train(zeroed, *data)
         model_b, logs_b = trainer.train(plain, *data)
-        for (_, arr_a), (_, arr_b) in zip(trainer.param_items(model_a), trainer.param_items(model_b)):
-            np.testing.assert_array_equal(arr_a, arr_b)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
         for la, lb in zip(logs_a, logs_b):
             assert la.loss_in == lb.loss_in
             assert la.loss_out == lb.loss_out == 0.0
@@ -195,18 +192,17 @@ class TestGradientAudit:
             model = trainer.build_model(cfg, data)
             weight = cfg.outlier_weight
             args = (model, cfg.criterion, weight, in_x, in_y, out_x)
-            _, _, grads = trainer.batch_gradients(*args)
+            _, _, grad = trainer.batch_gradients(*args)
+            assert grad.shape == model.flat.shape
             analytic, numeric = [], []
-            flat = [(name, arr, i) for name, arr in trainer.param_items(model) for i in range(arr.size)]
-            for pick in rng.choice(len(flat), size=50, replace=False):
-                name, arr, i = flat[pick]
-                orig = arr.flat[i]
-                arr.flat[i] = orig + 1e-5
+            for i in rng.choice(model.flat.size, size=50, replace=False):
+                orig = model.flat[i]
+                model.flat[i] = orig + 1e-5
                 up = sum(trainer.batch_gradients(*args)[:2])  # loss_in + loss_out
-                arr.flat[i] = orig - 1e-5
+                model.flat[i] = orig - 1e-5
                 down = sum(trainer.batch_gradients(*args)[:2])
-                arr.flat[i] = orig
-                analytic.append(grads[name].flat[i])
+                model.flat[i] = orig
+                analytic.append(grad[i])
                 numeric.append((up - down) / 2e-5)
             assert max_rel_error(np.array(analytic), np.array(numeric)) < 1e-4
 
@@ -293,6 +289,28 @@ class TestEpochEval:
         assert logs[-1].report == report  # dataclass equality: every field compared with ==
         preds = trainer.scores_batch(model, eval_in.features).argmax(axis=1)
         assert logs[-1].acc_in == float(np.mean(preds == eval_in.labels))
+
+class TestParamBuffer:
+    @staticmethod
+    def assert_views_of_flat(model):
+        items = trainer.param_items(model)
+        assert all(np.shares_memory(arr, model.flat) for _, arr in items)
+        np.testing.assert_array_equal(np.concatenate([arr.ravel() for _, arr in items]), model.flat)
+        # Distinct values pin every view to its own offset.
+        model.flat[:] = np.arange(model.flat.size)
+        np.testing.assert_array_equal(np.concatenate([arr.ravel() for _, arr in items]), model.flat)
+
+    @pytest.mark.parametrize("kind", ["plain", "ice"])
+    def test_params_are_views_of_flat(self, kind, tmp_path):
+        data = small_splits()
+        cfg = quick_config(kind, epochs=1)
+        self.assert_views_of_flat(trainer.build_model(cfg, data[0]))
+        model, _ = trainer.train(cfg, *data)
+        path = tmp_path / "ckpt.txt"
+        trainer.save_checkpoint(model, path)
+        self.assert_views_of_flat(model)
+        self.assert_views_of_flat(trainer.load_checkpoint(path))
+
 
 class TestCheckpoint:
     def test_round_trip_scores(self, tmp_path):
