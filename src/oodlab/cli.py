@@ -43,8 +43,8 @@ def make_datasets(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, Lab
     Inline generation draws the train and eval splits from the two-cluster
     sampler on separate derived streams and builds the held-out "hard"
     outlier family for evaluation; with ``data_dir`` set, the four gen-data
-    CSVs are loaded instead, and a file holding a row of the other domain
-    raises MalformedData.
+    CSVs are loaded instead, and a file holding a row of the other domain, or
+    four files that do not share one width, raise MalformedData.
     """
     d = config.data
     if d.data_dir:
@@ -53,6 +53,9 @@ def make_datasets(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, Lab
         for path, data in zip(paths, sets):
             if np.any(data.in_mask() != path.endswith("_in.csv")):
                 raise MalformedData(f"{path}: holds a row of the other domain")
+        if len({data.dim for data in sets}) > 1:
+            widths = ", ".join(f"{name} {data.dim}" for name, data in zip(DATA_FILES, sets))
+            raise MalformedData(f"{d.data_dir}: the splits must share one width, got {widths}")
         return sets  # type: ignore[return-value]
     train = sample_synthetic(d.mu, d.zeta, d.n, component_seed(d.seed, "train_data"), dims=d.dims)
     evald = sample_synthetic(d.mu, d.zeta, d.n, component_seed(d.seed, "eval_data"), dims=d.dims)
@@ -185,6 +188,9 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
 def cmd_export_features(config: ExperimentConfig, out_dir: str, checkpoint: str) -> int:
     model = trainer.load_checkpoint(checkpoint)
     _, _, eval_in, eval_out = make_datasets(config)
+    if model.backbone.in_dim != eval_in.dim:
+        widths = f"input width {model.backbone.in_dim}, the data has {eval_in.dim}"
+        raise ConfigError(f"checkpoint {checkpoint} takes {widths}")
     # Finite but huge weights can overflow; that is reported, not written.
     with np.errstate(over="ignore", invalid="ignore"):
         feats = [trainer.features_batch(model, data.features) for data in (eval_in, eval_out)]

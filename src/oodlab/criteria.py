@@ -4,11 +4,12 @@ Every loss (sce, oe_uniform, energy, ice_id, ice_ood, bce_outlier) is one
 batch kernel over scores whose last axis holds the K classes. It returns a
 LossReport with one value per row and dL/dscores of the scores' shape, so a
 (B, K) batch gives B values and a single (K,) score vector is the per-sample
-case with a scalar value. The branch dispatchers id_loss and ood_loss map a
-criterion kind to its in-distribution and outlier terms. They take the balance
-weight as an argument: the caller passes ``TrainConfig.outlier_weight``
-(lambda * gamma), the one place the weight is formed, so the trainer and the
-shift simulation share one batch code path and one weight.
+case with a scalar value. One table row per criterion kind holds its default
+weight, whether it needs the Gaussian head, its in-distribution term and its
+outlier term, which id_loss and ood_loss call. They take the weight as an
+argument: the caller passes ``TrainConfig.outlier_weight`` (lambda * gamma),
+the one place it is formed, so the trainer and the shift simulation share one
+batch code path and one weight.
 
 Sign conventions worth keeping in mind:
   - sce pushes the ground-truth score up and every other score down;
@@ -25,21 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-KINDS = ("plain", "oe", "energy", "ice", "ice_minus", "bce")
-
-# Balance-weight defaults per criterion kind. The two ablation kinds reuse the
-# weight of the method they ablate.
-DEFAULT_LAMBDA = {
-    "plain": 0.0,
-    "oe": 0.5,
-    "energy": 0.1,
-    "ice": 1.0,
-    "ice_minus": 1.0,
-    "bce": 0.5,
-}
 
 ICE_OOD_EPS = 1e-12
 _LN2 = math.log(2.0)
@@ -62,12 +51,15 @@ class CriterionConfig:
         if self.kind not in KINDS:
             raise ValueError(f"criterion kind must be one of {KINDS}, got {self.kind!r}")
         if self.lam is None:
-            object.__setattr__(self, "lam", DEFAULT_LAMBDA[self.kind])
+            object.__setattr__(self, "lam", _CRITERIA[self.kind].default_lam)
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
 
     def needs_gaussian_head(self) -> bool:
-        return self.kind in ("ice", "ice_minus")
+        return _CRITERIA[self.kind].gaussian_head
+
+    def has_outlier_term(self) -> bool:
+        return _CRITERIA[self.kind].ood_term is not None
 
 
 def _check_nonpositive(h: np.ndarray) -> np.ndarray:
@@ -169,42 +161,50 @@ def bce_outlier(scores: np.ndarray, targets: np.ndarray) -> LossReport:
     return LossReport(value, sigmoid - targets)
 
 
+def _plus(base: LossReport, weight: float, extra: LossReport) -> LossReport:
+    """``base + weight * extra``, value and gradient alike."""
+    return LossReport(base.value + weight * extra.value, base.d_scores + weight * extra.d_scores)
+
+
+@dataclass(frozen=True)
+class _Criterion:
+    default_lam: float
+    gaussian_head: bool  # scores must be non-positive
+    id_term: Callable[[np.ndarray, np.ndarray, float], LossReport]  # (scores, labels, weight)
+    ood_term: Callable[[np.ndarray], LossReport] | None  # unscaled; None when there is none
+
+
+# One row per kind, in the order KINDS lists them. The two ablation kinds
+# reuse the weight of the method they ablate.
+_CRITERIA = {
+    "plain": _Criterion(0.0, False, lambda s, y, w: sce(s, y), None),
+    "oe": _Criterion(0.5, False, lambda s, y, w: sce(s, y), oe_uniform),
+    # Energy raises the ID rows' logsumexp: sce - w * energy.
+    "energy": _Criterion(0.1, False, lambda s, y, w: _plus(sce(s, y), -w, energy(s)), energy),
+    "ice": _Criterion(1.0, True, lambda s, y, w: _plus(sce(s, y), w, ice_id(s, y)), ice_ood),
+    "ice_minus": _Criterion(1.0, True, lambda s, y, w: sce(s, y), ice_ood),
+    "bce": _Criterion(
+        0.5, False, lambda s, y, w: bce_outlier(s, _one_hot(s, y)), lambda s: bce_outlier(s, np.zeros_like(s))
+    ),
+}
+KINDS = tuple(_CRITERIA)
+
+
 def id_loss(config: CriterionConfig, scores: np.ndarray, y, weight: float) -> LossReport:
-    """The in-distribution branch of ``config.kind``, balance terms scaled by ``weight``.
+    """The in-distribution term of ``config.kind``, balance terms scaled by ``weight``.
 
     ``scores`` is (B, K) with B labels ``y``, or one (K,) row with a scalar label.
     """
-    scores = np.asarray(scores, dtype=float)
-    if config.kind in ("plain", "oe"):
-        return sce(scores, y)
-    if config.kind == "energy":
-        sce_rep = sce(scores, y)
-        e_rep = energy(scores)
-        return LossReport(sce_rep.value - weight * e_rep.value, sce_rep.d_scores - weight * e_rep.d_scores)
-    if config.kind == "ice":
-        sce_rep = sce(_check_nonpositive(scores), y)
-        id_rep = ice_id(scores, y)
-        return LossReport(sce_rep.value + weight * id_rep.value, sce_rep.d_scores + weight * id_rep.d_scores)
-    if config.kind == "ice_minus":
-        return sce(_check_nonpositive(scores), y)
-    if config.kind == "bce":
-        return bce_outlier(scores, _one_hot(scores, y).astype(float))
-    raise AssertionError(config.kind)
+    row = _CRITERIA[config.kind]
+    scores = _check_nonpositive(scores) if row.gaussian_head else np.asarray(scores, dtype=float)
+    return row.id_term(scores, y, weight)
 
 
 def ood_loss(config: CriterionConfig, scores: np.ndarray, weight: float) -> LossReport:
-    """The outlier branch of ``config.kind``, scaled by the balance ``weight``."""
+    """The outlier term of ``config.kind`` scaled by ``weight``; zeros when it has none."""
     scores = np.asarray(scores, dtype=float)
-    if config.kind == "plain":
+    term = _CRITERIA[config.kind].ood_term
+    if term is None:
         return LossReport(np.zeros(scores.shape[:-1]), np.zeros_like(scores))
-    if config.kind == "oe":
-        rep = oe_uniform(scores)
-    elif config.kind == "energy":
-        rep = energy(scores)
-    elif config.kind in ("ice", "ice_minus"):
-        rep = ice_ood(scores)
-    elif config.kind == "bce":
-        rep = bce_outlier(scores, np.zeros_like(scores))
-    else:
-        raise AssertionError(config.kind)
+    rep = term(scores)
     return LossReport(weight * rep.value, weight * rep.d_scores)

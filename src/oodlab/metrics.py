@@ -37,7 +37,6 @@ class MetricsReport:
 @dataclass(frozen=True)
 class Histogram:
     counts: np.ndarray
-    clamped: int  # values outside the range, folded into the end bins
     edges: np.ndarray
 
 
@@ -130,11 +129,7 @@ def compute_report(
 
 
 def histogram(scores: Sequence[float], bins: int, value_range: tuple[float, float]) -> Histogram:
-    """Equal-width counts; bins are left-closed, the final bin also right-closed.
-
-    Values outside the range land in the nearest end bin and are tallied in
-    ``clamped``.
-    """
+    """Equal-width counts over left-closed bins, the last also right-closed; outside values fold into the end bins."""
     lo, hi = float(value_range[0]), float(value_range[1])
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -142,10 +137,9 @@ def histogram(scores: Sequence[float], bins: int, value_range: tuple[float, floa
         raise ValueError("range must satisfy lo < hi")
     scores = np.asarray(scores, dtype=float)
     counts = np.zeros(bins, dtype=int)
-    clamped = int(np.sum(scores < lo) + np.sum(scores > hi))
     if scores.size:
         idx = np.floor((scores - lo) / (hi - lo) * bins).astype(int)
         idx = np.clip(idx, 0, bins - 1)
         np.add.at(counts, idx, 1)
     edges = np.linspace(lo, hi, bins + 1)
-    return Histogram(counts=counts, clamped=clamped, edges=edges)
+    return Histogram(counts=counts, edges=edges)

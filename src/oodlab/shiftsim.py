@@ -25,7 +25,6 @@ from .errors import ConfigError, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
 from .gda import (
     DOMAIN_IN,
-    DOMAIN_OUT,
     GdaModel,
     LabeledSet,
     closed_form_discriminant,
@@ -72,7 +71,7 @@ class ShiftStats:
 @dataclass(frozen=True)
 class ShiftTrajectory:
     snapshots: np.ndarray  # (steps + 1, n, d)
-    labels: np.ndarray  # (n,), NO_LABEL on out rows
+    domain: np.ndarray  # (n,) str, each row's "in"/"out" tag
     stats: list[ShiftStats]
 
     @property
@@ -83,10 +82,13 @@ class ShiftTrajectory:
 def find_false_likelihood_pair(
     model: GdaModel, data: LabeledSet, class_i: int
 ) -> FalseLikelihoodPair | None:
-    """First (by index order) pair where the linear score and likelihood disagree.
+    """A pair where the linear score and the likelihood disagree, showcase pair first.
 
-    Returns None when no such pair exists, which is a valid outcome (for
-    example when the data sits exactly on the class centers).
+    The showcase pair is the outlier the linear score trusts most and the most
+    likely in-sample it still outranks; if they agree, the first outlier by
+    index that any in-sample disagrees with is paired with the first such
+    in-sample. None when no pair disagrees, a valid outcome (for example when
+    the data sits exactly on the class centers).
     """
     w_hat, b_hat = closed_form_discriminant(model)
     f_scores = data.features @ w_hat[class_i] + b_hat[class_i]
@@ -107,8 +109,6 @@ def find_false_likelihood_pair(
         )
 
     if in_idx.size and out_idx.size:
-        # Showcase candidate: the outlier the linear score trusts most against
-        # the most likely in-sample it still outranks.
         b = out_idx[int(np.argmax(f_scores[out_idx]))]
         eligible = in_idx[f_scores[in_idx] < f_scores[b]]
         if eligible.size:
@@ -246,14 +246,13 @@ def run_shift_sim(
         if not finite(stats[-1]):
             raise NonFiniteState(f"non-finite shift statistics at step {step}", step)
 
-    return ShiftTrajectory(snapshots=snapshots, labels=labels.copy(), stats=stats)
+    return ShiftTrajectory(snapshots=snapshots, domain=bank.domain, stats=stats)
 
 
 def trajectory_to_csv(trajectory: ShiftTrajectory, path) -> None:
     """One CSV row per (step, sample): ``step,idx,domain,x0,...``, one snapshot per write."""
     dim = trajectory.snapshots.shape[2]
-    tags = np.where(trajectory.labels >= 0, DOMAIN_IN, DOMAIN_OUT).tolist()
-    idx_domain = [join_cells([idx, tag]) for idx, tag in enumerate(tags)]
+    idx_domain = [join_cells([idx, tag]) for idx, tag in enumerate(trajectory.domain.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write(join_cells(["step", "idx", "domain"] + [f"x{j}" for j in range(dim)]) + CSV_END)
         for step, snapshot in enumerate(trajectory.snapshots):

@@ -6,12 +6,12 @@ applies one momentum-SGD update, with the global gradient norm clipped at the
 head's ``GRAD_NORM_BOUND``. Every parameter is a view of one float64 vector,
 ``Model.flat``, and ``batch_gradients`` returns one gradient vector in the
 same layout, so the norm, the clip, the momentum update and the finiteness
-check are one array operation each. The head is reached only
-through ``heads.forward``/``heads.backward`` and its params' fields, so no
-code here branches on its kind. Evaluation runs per epoch:
-it forwards each eval set once and reads accuracy, the detector metrics and a
-confidence (Gaussian head) or max-logit (linear head) histogram from those
-scores.
+check are one array operation each. Training reaches the head only through
+``heads.forward``/``heads.backward`` and its params' fields; only the head's
+initialisation, the scorer check and the histogram scorer depend on its kind.
+Evaluation runs per epoch: it forwards each eval set once and reads accuracy,
+the detector metrics and a confidence (Gaussian head) or max-logit (linear
+head) histogram from those scores, each a row of ``SCORERS``.
 
 A resolved ``TrainConfig`` is the one place that decides the head kind, the
 scorer and the outlier weight; training, the epoch log and the shift
@@ -37,7 +37,14 @@ from .gda import DOMAIN_IN, DOMAIN_OUT, LabeledSet
 from .seeding import component_rng
 
 SCHEDULES = ("cosine", "stairwise")
-SCORERS = ("msp", "max_logit", "energy_score", "ice_conf")
+# One detector value per row of (N, K) head scores, higher meaning more in-distribution (msp: largest
+# softmax mass, energy_score: logsumexp). Kernels are called through their module, as perfbench traces.
+SCORERS = {
+    "msp": lambda scores: criteria.energy(scores).d_scores.max(axis=1),
+    "max_logit": lambda scores: scores.max(axis=1),
+    "energy_score": lambda scores: criteria.energy(scores).value,
+    "ice_conf": lambda scores: heads.ice_confidence(scores),
+}
 
 STAIRWISE_MILESTONES = (0.5, 0.75)  # fractions of total steps; each multiplies lr by 0.1
 
@@ -75,7 +82,7 @@ class TrainConfig:
             raise ValueError("gamma must be >= 0")
         if self.head != "auto" and self.head not in heads.HEAD_TYPES:
             raise ValueError(f"unknown head kind {self.head!r}")
-        if self.scorer not in ("auto",) + SCORERS:
+        if self.scorer != "auto" and self.scorer not in SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
         if self.aupr_positive not in (DOMAIN_IN, DOMAIN_OUT):
             raise ValueError("aupr_positive must be 'in' or 'out'")
@@ -241,19 +248,7 @@ def scores_batch(model: Model, x: np.ndarray) -> np.ndarray:
 
 def score_samples(model: Model, x: np.ndarray, scorer: str) -> np.ndarray:
     """Per-sample detector confidence, higher meaning more in-distribution."""
-    _check_scorer(scorer, model.head_kind)
-    return _scorer_values(scores_batch(model, x), scorer)
-
-
-def _scorer_values(scores: np.ndarray, scorer: str) -> np.ndarray:
-    """One ``scorer`` value per row of ``(N, K)`` head scores."""
-    if scorer == "max_logit":
-        return scores.max(axis=1)
-    if scorer == "ice_conf":
-        return heads.ice_confidence(scores)
-    # msp is the largest softmax mass, energy_score the logsumexp
-    rep = criteria.energy(scores)
-    return rep.d_scores.max(axis=1) if scorer == "msp" else rep.value
+    return SCORERS[_check_scorer(scorer, model.head_kind)](scores_batch(model, x))
 
 
 def evaluate(
@@ -344,16 +339,13 @@ def _epoch_log(
     with np.errstate(over="ignore", invalid="ignore"):
         scores_in = scores_batch(model, eval_in.features)
         scores_out = scores_batch(model, eval_out.features)
-        conf_in = _scorer_values(scores_in, hist_scorer)
-        conf_out = _scorer_values(scores_out, hist_scorer)
+        conf_in = SCORERS[hist_scorer](scores_in)
+        conf_out = SCORERS[hist_scorer](scores_out)
     combined = np.concatenate([conf_in, conf_out])
     if not np.all(np.isfinite(combined)):
         raise NonFiniteState(f"non-finite eval score after step {step}", step)
-    report = metrics.compute_report(
-        _scorer_values(scores_in, config.scorer),
-        _scorer_values(scores_out, config.scorer),
-        aupr_positive=config.aupr_positive,
-    )
+    scorer = SCORERS[config.scorer]
+    report = metrics.compute_report(scorer(scores_in), scorer(scores_out), aupr_positive=config.aupr_positive)
     acc = float(np.mean(scores_in.argmax(axis=1) == eval_in.labels))
     if hist_scorer == "ice_conf":
         value_range = (0.0, 1.0)
@@ -411,7 +403,7 @@ def train(
     # A zero effective weight removes every outlier term from the objective,
     # so the outlier loader is skipped entirely; this makes zero-weight runs
     # match plain training step for step.
-    use_out = config.criterion.kind != "plain" and weight > 0.0
+    use_out = config.criterion.has_outlier_term() and weight > 0.0
     if use_out and len(train_out) == 0:
         raise ConfigError(f"criterion {config.criterion.kind!r} needs outlier training data")
     model = build_model(config, train_in)
@@ -488,8 +480,9 @@ def load_checkpoint(path) -> Model:
 
     Raises:
         MalformedData: the file is truncated (every line of a complete
-            file ends in a newline), lacks an entry, or holds a value that
-            does not parse or is not finite.
+            file ends in a newline), lacks an entry, records widths that
+            need an array larger than the file, or holds a value that does
+            not parse, is not finite or does not fit its array.
         OSError: the file cannot be read.
     """
     try:
@@ -514,24 +507,31 @@ def _model_from_entries(entries: dict[str, str]) -> Model:
     if any(w < 1 for w in widths):
         raise ValueError(f"backbone widths {widths} must all be >= 1")
 
-    def tensor(key: str, shape: tuple[int, ...]) -> np.ndarray:
-        raw = entries[key].split()
-        values = np.array([float(v) for v in raw], dtype=float)
-        if values.size != int(np.prod(shape)):
-            raise ValueError(f"checkpoint tensor {key} has {values.size} values, expected {shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"checkpoint tensor {key} is not finite")
-        return values.reshape(shape)
+    def zero_model(widths: tuple[int, ...], n_classes: int) -> Model:
+        pairs = zip(widths, widths[1:])
+        layers = [bb.Layer(weight=np.zeros((fan_out, fan_in)), bias=np.zeros(fan_out)) for fan_in, fan_out in pairs]
+        net = bb.MlpParams(layers=layers)
+        shapes = head_type.shapes(n_classes, net.out_dim)
+        return Model(backbone=net, head=head_type(**{name: np.zeros(shape) for name, shape in shapes.items()}))
 
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        weight = tensor(f"backbone.{i}.weight", (fan_out, fan_in))
-        layers.append(bb.Layer(weight=weight, bias=tensor(f"backbone.{i}.bias", (fan_out,))))
-    net = bb.MlpParams(layers=layers)
-    dim = widths[-1]
-    # The first head field is the per-class (K, d) array; it fixes K.
-    first = dataclasses.fields(head_type)[0].name
-    n_classes = len(entries[f"head.{first}"].split()) // dim
-    shapes = head_type.shapes(n_classes, dim)
-    head = head_type(**{name: tensor(f"head.{name}", shape) for name, shape in shapes.items()})
-    return Model(backbone=net, head=head)
+    # A zero model is filled view by view. Entry names depend only on the depth and the head kind,
+    # so a one-wide model names them; the first head entry is the per-class (K, d) array, fixing K.
+    probe = zero_model((1,) * len(widths), 1)
+    first = next(name for name, owner, _ in _param_slots(probe) if owner is probe.head)
+    n_classes = len(entries.get(first, "").split()) // widths[-1]
+    # Every value takes at least one character, so no array may outgrow the
+    # file; this bounds what the widths can make the zero model allocate.
+    sizes = [fan_in * fan_out for fan_in, fan_out in zip(widths, widths[1:])]
+    sizes += [math.prod(shape) for shape in head_type.shapes(n_classes, widths[-1]).values()]
+    if max(sizes) > sum(map(len, entries.values())):
+        raise ValueError(f"backbone widths {widths} need more values than the checkpoint holds")
+
+    model = zero_model(widths, n_classes)
+    for name, view in param_items(model):
+        values = np.array([float(v) for v in entries[name].split()], dtype=float)
+        if values.size != view.size:
+            raise ValueError(f"checkpoint tensor {name} has {values.size} values, expected {view.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"checkpoint tensor {name} is not finite")
+        view[...] = values.reshape(view.shape)
+    return model

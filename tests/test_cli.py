@@ -297,6 +297,25 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("io error:") and name in err
 
+    @pytest.mark.parametrize("wide_files", [("eval_in.csv", "eval_out.csv"), ("train_out.csv",)])
+    def test_splits_of_different_widths_are_io_error(self, tmp_path, capsys, wide_files):
+        # Each mix used to end in a numpy traceback (exit 1).
+        data_dir = tmp_path / "data"
+        for dims in (2, 3):
+            cfg = write_ini(tmp_path / f"c{dims}.ini", {"data": {"dims": str(dims)}})
+            assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / f"d{dims}")]) == 0
+        data_dir.mkdir()
+        for name in cli.DATA_FILES:
+            source = tmp_path / ("d3" if name in wide_files else "d2") / name
+            (data_dir / name).write_bytes(source.read_bytes())
+        capsys.readouterr()
+        cfg = write_ini(tmp_path / "c.ini", {"data": {"data_dir": str(data_dir)}})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and "Traceback" not in err
+        for name in cli.DATA_FILES:
+            assert f"{name} {3 if name in wide_files else 2}" in err
+
 
 class TestDemoFalseLikelihood:
     def test_pair_found_and_machine_checkable(self, tmp_path):
@@ -559,6 +578,20 @@ class TestExportFeatures:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("non-finite") and "Traceback" not in err
+        assert not (out / "features.csv").exists()
+
+    def test_checkpoint_of_another_width_is_config_error(self, tmp_path, capsys):
+        # Used to end in a matmul traceback (exit 1).
+        cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}})
+        ckpt = tmp_path / "train" / "checkpoint.txt"
+        assert cli.main(["train", "--config", cfg, "--out", str(ckpt.parent)]) == 0
+        capsys.readouterr()
+        cfg3 = write_ini(tmp_path / "c3.ini", {"data": {"dims": "3"}})
+        out = tmp_path / "o"
+        code = cli.main(["export-features", "--config", cfg3, "--out", str(out), "--checkpoint", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "input width 2, the data has 3" in err
         assert not (out / "features.csv").exists()
 
     def test_missing_checkpoint_io_error(self, tmp_path):

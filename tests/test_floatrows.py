@@ -43,8 +43,7 @@ class TestTrajectoryCsv:
         )
         n = snapshots.shape[1]
         domain = np.array(data.draw(st.lists(st.sampled_from(["in", "out"]), min_size=n, max_size=n)), dtype=str)
-        labels = np.where(domain == "in", 0, gda.NO_LABEL)
-        traj = shiftsim.ShiftTrajectory(snapshots=snapshots, labels=labels, stats=[])
+        traj = shiftsim.ShiftTrajectory(snapshots=snapshots, domain=domain, stats=[])
         path = tmp_path / "trajectory.csv"
         shiftsim.trajectory_to_csv(traj, path)
         rows = [["step", "idx", "domain"] + [f"x{j}" for j in range(snapshots.shape[2])]]
@@ -57,8 +56,8 @@ class TestTrajectoryCsv:
         # A whole-trajectory .tolist() peaks near 5 MB here; one snapshot at a
         # time stays near 0.2 MB.
         rng = np.random.default_rng(0)
-        labels = np.where(np.arange(400) % 2 == 0, 0, gda.NO_LABEL)
-        traj = shiftsim.ShiftTrajectory(snapshots=rng.standard_normal((101, 400, 2)), labels=labels, stats=[])
+        domain = np.where(np.arange(400) % 2 == 0, "in", "out")
+        traj = shiftsim.ShiftTrajectory(snapshots=rng.standard_normal((101, 400, 2)), domain=domain, stats=[])
         tracemalloc.start()
         try:
             shiftsim.trajectory_to_csv(traj, tmp_path / "trajectory.csv")
@@ -75,7 +74,7 @@ class TestStatsCsv:
     def test_matches_csv_writer(self, tmp_path, stats):
         traj = shiftsim.ShiftTrajectory(
             snapshots=np.zeros((len(stats), 0, 2)),
-            labels=np.zeros(0, dtype=int),
+            domain=np.zeros(0, dtype=str),
             stats=[shiftsim.ShiftStats(*row) for row in stats],
         )
         path = tmp_path / "stats.csv"
