@@ -23,7 +23,7 @@ import numpy as np
 from . import criteria, trainer
 from .config import ExperimentConfig, load_config, resolved_ini
 from .errors import ConfigError, MalformedData, NonFiniteState
-from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
+from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows, write_csv_table
 from .gda import DOMAIN_IN, DOMAIN_OUT, LabeledSet, fit_gda, sample_cluster_family, sample_synthetic
 from .seeding import component_seed
 from .shiftsim import (
@@ -135,8 +135,7 @@ def _write_metrics_csv(path, report, acc_in: float) -> None:
         ["auroc", "aupr", "fpr95", "n_in", "n_out", "acc_in"],
         [*map(format_cell, (report.auroc, report.aupr, report.fpr95)), report.n_in, report.n_out, format_cell(acc_in)],
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(join_cells(row) + CSV_END for row in rows))
+    write_csv_table(path, rows)
 
 
 def cmd_train(config: ExperimentConfig, out_dir: str) -> int:
@@ -156,6 +155,8 @@ def cmd_train(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float], kinds: list[str]) -> int:
     if not gammas:
         raise ConfigError("sweep needs at least one gamma")
+    if not kinds:
+        raise ConfigError("sweep needs at least one criterion")
     try:
         cells = [
             dataclasses.replace(
@@ -179,8 +180,7 @@ def cmd_sweep_lambda(config: ExperimentConfig, out_dir: str, gammas: list[float]
             nan = format_cell(math.nan)
             rows.append([kind, format_cell(gamma), nan, nan, nan, nan])
             print(f"criterion={kind} gamma={gamma}: {exc}", file=sys.stderr)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        fh.write("".join(join_cells(row) + CSV_END for row in rows))
+    write_csv_table(os.path.join(out_dir, "sweep.csv"), rows)
     print(f"wrote {len(rows) - 1} sweep rows to {out_dir}/sweep.csv")
     return 0
 

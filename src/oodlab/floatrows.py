@@ -1,7 +1,9 @@
 """Plain-text rows of floats: the one writer of float arrays to text files.
 
 ``trajectory.csv``, ``features.csv``, the ``gen-data`` CSVs and the value lines
-of ``checkpoint.txt`` all go through here. A float is written as the ``repr``
+of ``checkpoint.txt`` all go through here, and so do the small header-plus-rows
+tables (``metrics.csv``, ``sweep.csv``, ``stats.csv``), whose cells the caller
+has already formatted with ``format_cell``. A float is written as the ``repr``
 of the Python float, the shortest text that parses back to the same value.
 ``ndarray.tolist()`` yields exactly those Python floats, so a block of rows is
 converted in one call instead of one ``float()`` per cell. CSV lines are
@@ -35,6 +37,12 @@ def join_cells(cells) -> str:
         if not _NEEDS_QUOTES.isdisjoint(text):
             raise ValueError(f"cell {text!r} would need CSV quoting")
     return ",".join(texts)
+
+
+def write_csv_table(path, rows) -> None:
+    """Write a CSV file of fixed-cell rows, header row first, each through ``join_cells``."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(join_cells(row) + CSV_END for row in rows))
 
 
 def float_rows(block, sep: str = ",") -> list[str]:

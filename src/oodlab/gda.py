@@ -1,6 +1,8 @@
 """Class-conditional Gaussians with tied covariance, and the synthetic data generators.
 
-Covers fitting (per-class means, pooled MLE covariance), the closed-form linear
+A fitted model is a ``heads.GaussianHeadParams``, the same type the Gaussian
+head trains: class means plus the raw form of the covariance's Cholesky
+factor. Covers fitting (per-class means, pooled MLE covariance), the closed-form linear
 discriminant that the Gaussian assumption induces, squared Mahalanobis
 distances and log-densities, and the two-cluster in/out sampler where a draw
 counts as in-distribution when its best class-conditional density clears a
@@ -21,6 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, MalformedData
 from .floatrows import CSV_END, join_cells, write_csv_rows
+from .heads import GaussianHeadParams
 from .seeding import rng_from_seed
 
 DOMAIN_IN = "in"
@@ -108,34 +111,13 @@ class LabeledSet:
             raise MalformedData(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GdaModel:
-    """Per-class means and one shared covariance with its Cholesky factor."""
-
-    means: np.ndarray  # (K, d)
-    tied_cov: np.ndarray  # (d, d)
-    chol: np.ndarray  # (d, d) lower triangular
-
-    def __post_init__(self) -> None:
-        if self.means.ndim != 2 or self.means.shape[0] < 2:
-            raise ValueError("need at least two class means")
-        if self.tied_cov.shape != (self.dim, self.dim):
-            raise ValueError("covariance shape does not match the means")
-
-    @property
-    def n_classes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-
-def fit_gda(data: LabeledSet) -> GdaModel:
+def fit_gda(data: LabeledSet) -> GaussianHeadParams:
     """Fit per-class means and the pooled maximum-likelihood covariance.
 
     Only in-distribution rows participate. The pooled covariance divides by
-    the total sample count N (MLE normalization, not N - K).
+    the total sample count N (MLE normalization, not N - K). The model is
+    returned as the Gaussian head's params, holding the covariance's
+    Cholesky factor.
 
     Raises:
         ConfigError: some class in [0, max(label)+1) has no sample, the
@@ -169,31 +151,34 @@ def fit_gda(data: LabeledSet) -> GdaModel:
         chol = linalg.cholesky(cov)
     except linalg.NotPositiveDefinite as exc:
         raise ConfigError(f"pooled covariance is not positive-definite: {exc}") from exc
-    return GdaModel(means=means, tied_cov=cov, chol=chol)
+    return GaussianHeadParams.from_factor(means, chol)
 
 
-def closed_form_discriminant(model: GdaModel) -> tuple[np.ndarray, np.ndarray]:
+def closed_form_discriminant(model: GaussianHeadParams) -> tuple[np.ndarray, np.ndarray]:
     """The linear scores a tied-covariance Gaussian model induces.
 
     Row i of the returned weight matrix is Sigma^-1 mu_i and the bias is
     -0.5 * mu_i.T Sigma^-1 mu_i.
     """
-    inverse = linalg.tri_solve_lower(model.chol, np.eye(model.dim))
+    inverse = linalg.tri_solve_lower(model.tri_raw)
     w_hat = model.means @ inverse.T @ inverse
     b_hat = -0.5 * np.einsum("kj,kj->k", model.means, w_hat)
     return w_hat, b_hat
 
 
-def sq_mahalanobis(model: GdaModel, z: np.ndarray) -> np.ndarray:
+def sq_mahalanobis(model: GaussianHeadParams, z: np.ndarray) -> np.ndarray:
     """(n, K) squared Mahalanobis distances of each row of ``z`` to every class mean."""
-    v, _ = linalg.whiten(model.chol, model.means, z)
+    v, _ = linalg.whiten(model.tri_raw, model.means, z)
     return np.einsum("bkj,bkj->bk", v, v)
 
 
-def log_density(model: GdaModel, sq_mahal: np.ndarray) -> np.ndarray:
-    """log N(z; mu_i, Sigma) from the squared Mahalanobis distance of z to mu_i."""
-    log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    return -0.5 * (sq_mahal + log_det + model.dim * math.log(2.0 * math.pi))
+def log_density(model: GaussianHeadParams, sq_mahal: np.ndarray) -> np.ndarray:
+    """log N(z; mu_i, Sigma) from the squared Mahalanobis distance of z to mu_i.
+
+    log det Sigma is 2 * sum(log diag L), which ``tri_raw`` stores as is.
+    """
+    log_det = 2.0 * float(np.sum(np.diag(model.tri_raw)))
+    return -0.5 * (sq_mahal + log_det + model.means.shape[1] * math.log(2.0 * math.pi))
 
 
 def density_max(dims: int) -> float:

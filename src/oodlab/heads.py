@@ -9,15 +9,16 @@ and the drift simulation reach a head only through them, its fields and its
 class constants (``KIND``, ``GRAD_NORM_BOUND``).
 
 The Gaussian head parameterizes the covariance through a lower-triangular
-factor whose diagonal is stored as unconstrained values and materialized
-through exp, so plain gradient descent can never leave the positive-definite
-cone.
+factor whose diagonal is stored as unconstrained values and read through exp,
+so plain gradient descent can never leave the positive-definite cone. Its
+params type is also the fitted tied-covariance model of ``gda.fit_gda``.
 
 Index conventions used by the Gaussian-head math, with u_i = z - m_i:
-    v_i = L^-1 u_i            whitened by ``linalg.whiten``; h_i = -|v_i|^2
+    v_i = L^-1 u_i            whitened by ``linalg.whiten`` on tri_raw; h_i = -|v_i|^2
     g_i = (L L.T)^-1 u_i      the "natural" residual L^-T v_i; as a row, v_i.T L^-1
     dh_i/dz = -2 g_i,  dh_i/dm_i = 2 g_i,  dh_i/dL = 2 g_i v_i.T (lower part)
-The forward caches v and L^-1, so a step whitens once.
+The forward caches v and L^-1, so a step whitens once. L^-1 is read straight
+from ``tri_raw`` by ``linalg.tri_solve_lower``; L itself is never formed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from typing import ClassVar
 import numpy as np
 
 from . import linalg
+
+
+def _check_classes(per_class: np.ndarray) -> None:
+    if per_class.shape[0] < 2:
+        raise ValueError(f"need at least two classes, got {per_class.shape[0]}")
 
 
 @dataclass
@@ -45,6 +51,7 @@ class LinearHeadParams:
         self.bias = np.asarray(self.bias, dtype=float)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("weight must be (K, d) with a K-length bias")
+        _check_classes(self.weight)
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise ValueError("head parameters must be finite")
 
@@ -55,11 +62,11 @@ class LinearHeadParams:
 
 @dataclass
 class GaussianHeadParams:
-    """Trainable class centers plus an unconstrained triangular factor.
+    """Class centers plus an unconstrained triangular factor L of the tied covariance L L.T.
 
     ``tri_raw`` is a (d, d) array of which only the lower triangle is used.
     Off-diagonal entries are the factor entries themselves; diagonal entries
-    are logs, materialized as exp so the factor diagonal stays positive.
+    are logs, read through exp so the factor diagonal stays positive.
     """
 
     KIND: ClassVar[str] = "gaussian"
@@ -76,6 +83,7 @@ class GaussianHeadParams:
         d = self.means.shape[1] if self.means.ndim == 2 else -1
         if self.means.ndim != 2 or self.tri_raw.shape != (d, d):
             raise ValueError("means must be (K, d) and tri_raw (d, d)")
+        _check_classes(self.means)
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.tri_raw))):
             raise ValueError("head parameters must be finite")
 
@@ -83,15 +91,9 @@ class GaussianHeadParams:
     def shapes(n_classes: int, dim: int) -> dict[str, tuple[int, ...]]:
         return {"means": (n_classes, dim), "tri_raw": (dim, dim)}
 
-    def materialize(self) -> np.ndarray:
-        """The lower-triangular factor L with exp applied to the stored diagonal."""
-        lower = np.tril(self.tri_raw, -1)
-        np.fill_diagonal(lower, np.exp(np.diag(self.tri_raw)))
-        return lower
-
     @classmethod
     def from_factor(cls, means: np.ndarray, lower: np.ndarray) -> "GaussianHeadParams":
-        """Build params whose materialized factor equals ``lower`` exactly."""
+        """Build params whose factor L is ``lower``, up to exp(log(.)) rounding on the diagonal."""
         lower = np.asarray(lower, dtype=float)
         if np.any(np.diag(lower) <= 0):
             raise ValueError("factor diagonal must be strictly positive")
@@ -115,7 +117,7 @@ def forward(
     z = np.asarray(z, dtype=float)
     if isinstance(head, LinearHeadParams):
         return z @ head.weight.T + head.bias, z
-    v, inverse = linalg.whiten(head.materialize(), head.means, z)
+    v, inverse = linalg.whiten(head.tri_raw, head.means, z)
     return -np.einsum("bkj,bkj->bk", v, v), (v, inverse)
 
 
@@ -129,7 +131,7 @@ def backward(
     ``cache`` is what ``forward`` returned for the same head and features.
     Returns d_z (B, d) and one gradient per parameter field, keyed by field
     name and summed over rows. The Gaussian tri_raw gradient is chained
-    through the exp materialization of the diagonal.
+    through the exp on the diagonal.
     """
     upstream = np.asarray(upstream, dtype=float)
     if isinstance(head, LinearHeadParams):

@@ -1,11 +1,13 @@
-"""Minimal dense linear algebra: Cholesky, triangular solves, and the whitening kernel.
+"""Minimal dense linear algebra: Cholesky, the factor inverse, and the whitening kernel.
 
-Everything is float64 and desk-scale (d up to ~128), so factorizations are
-unblocked and solves are plain substitution. Every Mahalanobis distance goes
-through ``whiten``, which inverts the factor once by substitution and maps
-all residuals with one matmul. Lower-triangular factors are represented as
-full (d, d) arrays with an explicitly zero upper triangle and a strictly
-positive diagonal; ``cholesky`` produces factors in that form.
+Everything is float64 and desk-scale (d up to ~128), so the factorization is
+unblocked and the inverse is plain substitution. ``cholesky`` returns a full
+(d, d) lower factor with an explicitly zero upper triangle and a strictly
+positive diagonal. The inverse and the whitening kernel read a factor L in
+its raw form instead: a (d, d) array whose strictly lower entries are L's and
+whose diagonal holds the logs of L's diagonal, as ``heads.GaussianHeadParams``
+stores it. Every Mahalanobis distance goes through ``whiten``, which inverts
+the factor once and maps all residuals with one matmul.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ class NotPositiveDefinite(ValueError):
     """A Cholesky pivot was <= 0, i.e. the matrix is degenerate or indefinite."""
 
 
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
-    return a
-
-
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == a for SPD ``a``.
 
@@ -35,7 +30,9 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     Raises:
         NotPositiveDefinite: if any pivot is <= 0.
     """
-    a = _as_square(a, "cholesky")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"cholesky needs a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("cholesky input must be finite")
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
@@ -54,31 +51,29 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-def tri_solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve lower @ x = b by forward substitution.
+def tri_solve_lower(tri_raw: np.ndarray) -> np.ndarray:
+    """L^-1 by forward substitution on L @ X = I, with L read from its raw form.
 
-    ``b`` may be a vector or a matrix whose columns are independent
-    right-hand sides.
+    L's strictly lower entries are ``tri_raw``'s as stored and its diagonal is
+    exp(diag(``tri_raw``)); the upper triangle of ``tri_raw`` is ignored, and
+    that of the result is exactly zero.
     """
-    lower = _as_square(lower, "tri_solve_lower")
-    b = np.asarray(b, dtype=float)
-    n = lower.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"dimension mismatch: L is {n}x{n}, b has leading dim {b.shape[0]}")
-    x = np.empty_like(b)
-    for i in range(n):
-        x[i] = (b[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x
+    diag = np.exp(np.diag(tri_raw))
+    inverse = np.eye(len(diag))
+    for i in range(len(diag)):
+        inverse[i] = (inverse[i] - tri_raw[i, :i] @ inverse[:i]) / diag[i]
+    return inverse
 
 
-def whiten(lower: np.ndarray, centers: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def whiten(tri_raw: np.ndarray, centers: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whitened residuals v[b, k] = L^-1 (z_b - m_k), and L^-1 itself.
 
-    ``centers`` is (K, d) and ``z`` is (B, d); v is (B, K, d), so |v[b, k]|^2
-    is the squared Mahalanobis distance of row b to center k under L L.T.
-    L^-1 is formed once and applied to all B*K residuals in one 2-D matmul.
+    L is the factor whose raw form is ``tri_raw``. ``centers`` is (K, d) and
+    ``z`` is (B, d); v is (B, K, d), so |v[b, k]|^2 is the squared Mahalanobis
+    distance of row b to center k under L L.T. L^-1 is formed once and
+    applied to all B*K residuals in one 2-D matmul.
     """
-    inverse = tri_solve_lower(lower, np.eye(len(lower)))
+    inverse = tri_solve_lower(tri_raw)
     diff = np.asarray(z, dtype=float)[:, None, :] - np.asarray(centers, dtype=float)[None, :, :]
     b, k, d = diff.shape
     return (diff.reshape(b * k, d) @ inverse.T).reshape(b, k, d), inverse

@@ -22,16 +22,8 @@ import numpy as np
 
 from . import criteria, heads
 from .errors import ConfigError, NonFiniteState
-from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows
-from .gda import (
-    DOMAIN_IN,
-    GdaModel,
-    LabeledSet,
-    closed_form_discriminant,
-    log_density,
-    sample_synthetic,
-    sq_mahalanobis,
-)
+from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows, write_csv_table
+from .gda import DOMAIN_IN, LabeledSet, closed_form_discriminant, log_density, sample_synthetic, sq_mahalanobis
 from .trainer import TrainConfig
 
 
@@ -80,7 +72,7 @@ class ShiftTrajectory:
 
 
 def find_false_likelihood_pair(
-    model: GdaModel, data: LabeledSet, class_i: int
+    model: heads.GaussianHeadParams, data: LabeledSet, class_i: int
 ) -> FalseLikelihoodPair | None:
     """A pair where the linear score and the likelihood disagree, showcase pair first.
 
@@ -154,7 +146,7 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
 
 
 def shift_stats(
-    features: np.ndarray, labels: np.ndarray, domain: np.ndarray, model: GdaModel, zeta: float
+    features: np.ndarray, labels: np.ndarray, domain: np.ndarray, model: heads.GaussianHeadParams, zeta: float
 ) -> ShiftStats:
     """Summaries of one snapshot against the frozen model and threshold.
 
@@ -177,9 +169,9 @@ def shift_stats(
     return ShiftStats(mean_norm_out, mean_nearest_center_out, mean_own_center_in, mixed_fraction)
 
 
-def _frozen_head(head_kind: str, model: GdaModel):
+def _frozen_head(head_kind: str, model: heads.GaussianHeadParams):
     if head_kind == heads.GaussianHeadParams.KIND:
-        return heads.GaussianHeadParams.from_factor(model.means, model.chol)
+        return model
     w_hat, b_hat = closed_form_discriminant(model)
     return heads.LinearHeadParams(weight=w_hat, bias=b_hat)
 
@@ -187,16 +179,16 @@ def _frozen_head(head_kind: str, model: GdaModel):
 def run_shift_sim(
     config: TrainConfig,
     bank: LabeledSet,
-    head_source: GdaModel,
+    head_source: heads.GaussianHeadParams,
     steps: int,
     lr: float,
     zeta: float,
 ) -> ShiftTrajectory:
     """Descend every feature on its branch of ``config.criterion`` under a frozen head.
 
-    The head of kind ``config.head`` is pinned to the fitted model
-    (closed-form linear scores, or the Gaussian head at the model's means and
-    factor), and the outlier terms are scaled by ``config.outlier_weight``.
+    The head of kind ``config.head`` is pinned to the fitted model (its
+    closed-form linear scores, or the model itself as the Gaussian head), and
+    the outlier terms are scaled by ``config.outlier_weight``.
     Updates are simultaneous full-batch gradient steps, so the trajectory is
     deterministic and draws no randomness.
 
@@ -263,5 +255,4 @@ def stats_to_csv(trajectory: ShiftTrajectory, path) -> None:
     """One CSV row of ``ShiftStats`` per step; a statistic with no rows to average is ``NaN``."""
     rows = [["step", *(field.name for field in fields(ShiftStats))]]
     rows += [[step, *map(format_cell, astuple(st))] for step, st in enumerate(trajectory.stats)]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(join_cells(row) + CSV_END for row in rows))
+    write_csv_table(path, rows)

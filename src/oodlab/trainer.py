@@ -481,8 +481,9 @@ def load_checkpoint(path) -> Model:
     Raises:
         MalformedData: the file is truncated (every line of a complete
             file ends in a newline), lacks an entry, records widths that
-            need an array larger than the file, or holds a value that does
-            not parse, is not finite or does not fit its array.
+            need an array larger than the file or a head of fewer than two
+            classes, or holds a value that does not parse, is not finite or
+            does not fit its array.
         OSError: the file cannot be read.
     """
     try:
@@ -506,27 +507,24 @@ def _model_from_entries(entries: dict[str, str]) -> Model:
     widths = tuple(int(w) for w in entries["backbone.widths"].split())
     if any(w < 1 for w in widths):
         raise ValueError(f"backbone widths {widths} must all be >= 1")
+    if len(widths) < 2:
+        raise ValueError("need at least one layer")
 
-    def zero_model(widths: tuple[int, ...], n_classes: int) -> Model:
-        pairs = zip(widths, widths[1:])
-        layers = [bb.Layer(weight=np.zeros((fan_out, fan_in)), bias=np.zeros(fan_out)) for fan_in, fan_out in pairs]
-        net = bb.MlpParams(layers=layers)
-        shapes = head_type.shapes(n_classes, net.out_dim)
-        return Model(backbone=net, head=head_type(**{name: np.zeros(shape) for name, shape in shapes.items()}))
-
-    # A zero model is filled view by view. Entry names depend only on the depth and the head kind,
-    # so a one-wide model names them; the first head entry is the per-class (K, d) array, fixing K.
-    probe = zero_model((1,) * len(widths), 1)
-    first = next(name for name, owner, _ in _param_slots(probe) if owner is probe.head)
-    n_classes = len(entries.get(first, "").split()) // widths[-1]
+    # A zero model is filled view by view. The first head entry is the per-class (K, d) array, fixing K;
+    # the head type rejects fewer than two classes.
+    first = "head." + next(iter(head_type.shapes(0, widths[-1])))
+    head_shapes = head_type.shapes(len(entries[first].split()) // widths[-1], widths[-1])
     # Every value takes at least one character, so no array may outgrow the
     # file; this bounds what the widths can make the zero model allocate.
     sizes = [fan_in * fan_out for fan_in, fan_out in zip(widths, widths[1:])]
-    sizes += [math.prod(shape) for shape in head_type.shapes(n_classes, widths[-1]).values()]
+    sizes += [math.prod(shape) for shape in head_shapes.values()]
     if max(sizes) > sum(map(len, entries.values())):
         raise ValueError(f"backbone widths {widths} need more values than the checkpoint holds")
 
-    model = zero_model(widths, n_classes)
+    pairs = zip(widths, widths[1:])
+    layers = [bb.Layer(weight=np.zeros((fan_out, fan_in)), bias=np.zeros(fan_out)) for fan_in, fan_out in pairs]
+    head = head_type(**{name: np.zeros(shape) for name, shape in head_shapes.items()})
+    model = Model(backbone=bb.MlpParams(layers=layers), head=head)
     for name, view in param_items(model):
         values = np.array([float(v) for v in entries[name].split()], dtype=float)
         if values.size != view.size:

@@ -13,7 +13,10 @@ per-sample Gaussian forms, built on ``gda.sq_mahalanobis``/``gda.log_density``,
 ``gda.closed_form_discriminant`` and ``gda.density_max``, so the
 explicit-density oracles above can check them. ``outlier_take_oracle`` is the
 list-based outlier cycler that the array-based ``trainer._OutlierCycler`` must
-match index for index.
+match index for index. ``materialize`` builds the factor L that a raw
+``tri_raw`` stands for, ``tied_cov`` is a model's covariance L L.T, and
+``tri_inverse_oracle`` inverts L by forward substitution on the materialized
+factor, the path that ``linalg.tri_solve_lower`` must match bit for bit.
 """
 
 import csv
@@ -186,3 +189,26 @@ def posterior(model, z):
 def density_at_radius(radius, dims=2):
     """Unit-covariance Gaussian density at distance ``radius`` from its mean."""
     return gda.density_max(dims) * math.exp(-0.5 * radius * radius)
+
+
+def materialize(tri_raw):
+    """The lower factor L whose raw form is ``tri_raw``: strictly lower entries as stored, exp on the diagonal."""
+    lower = np.tril(tri_raw, -1)
+    np.fill_diagonal(lower, np.exp(np.diag(tri_raw)))
+    return lower
+
+
+def tied_cov(model):
+    """The shared covariance L L.T of a tied-covariance Gaussian model."""
+    lower = materialize(model.tri_raw)
+    return lower @ lower.T
+
+
+def tri_inverse_oracle(tri_raw):
+    """L^-1 by forward substitution, row by row, on the materialized L and the identity's columns."""
+    lower = materialize(tri_raw)
+    rhs = np.eye(len(lower))
+    inverse = np.empty_like(rhs)
+    for i in range(len(lower)):
+        inverse[i] = (rhs[i] - lower[i, :i] @ inverse[:i]) / lower[i, i]
+    return inverse

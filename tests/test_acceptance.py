@@ -30,6 +30,7 @@ from oracles import (
     pre_activations,
     sweep_aupr,
     sweep_fpr_at_tpr,
+    tied_cov,
 )
 
 GRAD_TOL = 1e-4
@@ -386,14 +387,14 @@ class TestCriterion4GdaEquivalence:
                 z = feats[int(rng.integers(len(feats)))] + rng.standard_normal(dim)
                 post = posterior(model, z)
                 worst_post = max(
-                    worst_post, float(np.max(np.abs(post - bayes_posterior(z, model.means, model.tied_cov))))
+                    worst_post, float(np.max(np.abs(post - bayes_posterior(z, model.means, tied_cov(model)))))
                 )
 
             w_hat, b_hat = gda.closed_form_discriminant(model)
             for z in feats:
                 linear_pick = int(np.argmax(w_hat @ z + b_hat))
                 lik_pick = int(
-                    np.argmax([class_likelihood(model, z, i) for i in range(model.n_classes)])
+                    np.argmax([class_likelihood(model, z, i) for i in range(len(model.means))])
                 )
                 if linear_pick != lik_pick:
                     argmax_ok = False

@@ -254,6 +254,18 @@ class TestMalformedInputFiles:
         assert code == 4
         assert capsys.readouterr().err.startswith("io error:")
 
+    @pytest.mark.parametrize("widths", ["", "8"])
+    def test_checkpoint_without_layers_is_io_error(self, tmp_path, capsys, widths):
+        # The head's entry names and shapes read the last width, so no width
+        # at all must be rejected before them.
+        cfg = write_ini(tmp_path / "c.ini")
+        ckpt = tmp_path / "flat.txt"
+        ckpt.write_text(f"schema=oodlab-checkpoint-v1\nhead.kind=gaussian\nbackbone.widths={widths}\n")
+        code = cli.main(["export-features", "--config", cfg, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and "need at least one layer" in err
+
     @pytest.mark.parametrize(
         "mangle",
         [lambda v: "nan", lambda v: "inf", lambda v: "1.5x", lambda v: v + ",extra"],
@@ -510,6 +522,18 @@ class TestSweep:
         cfg = write_ini(tmp_path / "c.ini")
         assert cli.main(["sweep-lambda", "--config", cfg, "--out", str(tmp_path / "o"), "--gammas", ""]) == 2
 
+    def test_empty_criteria_rejected(self, tmp_path, capsys, monkeypatch):
+        # Used to exit 0 with a header-only sweep.csv.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with no criterion to sweep")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        cfg = write_ini(tmp_path / "c.ini")
+        out = tmp_path / "o"
+        assert cli.main(["sweep-lambda", "--config", cfg, "--out", str(out), "--criteria", ","]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep needs at least one criterion")
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("gammas", ["1,nan", "inf"])
     def test_non_finite_gammas_rejected(self, tmp_path, capsys, gammas):
         cfg = write_ini(tmp_path / "c.ini")
@@ -592,6 +616,31 @@ class TestExportFeatures:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "input width 2, the data has 3" in err
+        assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("n_classes", [0, 1])
+    def test_checkpoint_of_fewer_than_two_classes_is_io_error(self, tmp_path, capsys, n_classes):
+        # A blank head.means line used to load as a (0, d) head, which then
+        # broke scoring with a bare numpy ValueError; export-features exited 0.
+        cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}})
+        train_out = tmp_path / "train"
+        assert cli.main(["train", "--config", cfg, "--out", str(train_out)]) == 0
+        capsys.readouterr()
+        dim = load_config(cfg).train.feature_dim
+        lines = (train_out / "checkpoint.txt").read_text().splitlines()
+        for i, line in enumerate(lines):
+            name, _, values = line.partition("=")
+            if name == "head.means":
+                lines[i] = name + "=" + " ".join(values.split()[: n_classes * dim])
+        ckpt = tmp_path / "few.txt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.MalformedData, match="need at least two classes"):
+            trainer.load_checkpoint(ckpt)
+        out = tmp_path / "o"
+        code = cli.main(["export-features", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and f"need at least two classes, got {n_classes}" in err
         assert not (out / "features.csv").exists()
 
     def test_missing_checkpoint_io_error(self, tmp_path):

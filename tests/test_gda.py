@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from oodlab import gda
+from oodlab import gda, heads
 from oodlab.errors import ConfigError
-from oracles import bayes_posterior, class_likelihood, density_at_radius, gaussian_density, posterior
+from oracles import (
+    bayes_posterior,
+    class_likelihood,
+    density_at_radius,
+    gaussian_density,
+    materialize,
+    posterior,
+    tied_cov,
+)
 
 
 def all_in(features, labels):
@@ -31,7 +39,7 @@ class TestFitGda:
         data = all_in([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 4.0]], [0, 0, 1, 1])
         model = gda.fit_gda(data)
         np.testing.assert_allclose(model.means, [[1.0, 0.0], [0.0, 3.0]])
-        np.testing.assert_allclose(model.tied_cov, [[0.5, 0.0], [0.0, 0.5]])
+        np.testing.assert_allclose(tied_cov(model), [[0.5, 0.0], [0.0, 0.5]])
 
     def test_single_sample_classes_degenerate(self):
         data = all_in([[1.0, 0.0], [-1.0, 0.0]], [0, 1])
@@ -47,7 +55,7 @@ class TestFitGda:
         )
         model2 = gda.fit_gda(doubled)
         np.testing.assert_allclose(model2.means, model.means)
-        np.testing.assert_allclose(model2.tied_cov, model.tied_cov, atol=1e-12)
+        np.testing.assert_allclose(tied_cov(model2), tied_cov(model), atol=1e-12)
 
     def test_empty_class(self):
         data = all_in([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [0, 0, 2])
@@ -55,17 +63,16 @@ class TestFitGda:
             gda.fit_gda(data)
 
     def test_chol_reconstructs(self):
-        model, _ = random_fitted_model(np.random.default_rng(11))
-        np.testing.assert_allclose(model.chol @ model.chol.T, model.tied_cov, atol=1e-10)
+        model, data = random_fitted_model(np.random.default_rng(11))
+        centered = data.features - model.means[data.labels]
+        pooled = centered.T @ centered / len(data)
+        lower = materialize(model.tri_raw)
+        np.testing.assert_allclose(lower @ lower.T, pooled, atol=1e-10)
 
 
 class TestClosedFormDiscriminant:
     def test_identity_covariance(self):
-        model = gda.GdaModel(
-            means=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            tied_cov=np.eye(2),
-            chol=np.eye(2),
-        )
+        model = heads.GaussianHeadParams(means=np.array([[1.0, 0.0], [0.0, 0.0]]), tri_raw=np.zeros((2, 2)))
         w_hat, b_hat = gda.closed_form_discriminant(model)
         np.testing.assert_allclose(w_hat[0], [1.0, 0.0])
         assert b_hat[0] == pytest.approx(-0.5)
@@ -75,11 +82,7 @@ class TestClosedFormDiscriminant:
 
     def test_general_covariance(self):
         cov = np.array([[4.0, 2.0], [2.0, 3.0]])
-        model = gda.GdaModel(
-            means=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            tied_cov=cov,
-            chol=np.linalg.cholesky(cov),
-        )
+        model = heads.GaussianHeadParams.from_factor(np.array([[1.0, 0.0], [0.0, 0.0]]), np.linalg.cholesky(cov))
         w_hat, b_hat = gda.closed_form_discriminant(model)
         np.testing.assert_allclose(w_hat[0], [0.375, -0.25], atol=1e-12)
         assert b_hat[0] == pytest.approx(-0.1875)
@@ -87,39 +90,38 @@ class TestClosedFormDiscriminant:
 
 class TestClassLikelihood:
     def test_density_at_mean(self):
-        model = gda.GdaModel(
+        model = heads.GaussianHeadParams(
             means=np.zeros((2, 2)) + np.array([[0.0, 0.0], [5.0, 0.0]]),
-            tied_cov=np.eye(2),
-            chol=np.eye(2),
+            tri_raw=np.zeros((2, 2)),
         )
         assert class_likelihood(model, np.zeros(2), 0) == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_unit_offset(self):
-        model = gda.GdaModel(means=np.array([[0.0, 0.0], [5.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
+        model = heads.GaussianHeadParams(means=np.array([[0.0, 0.0], [5.0, 0.0]]), tri_raw=np.zeros((2, 2)))
         expected = (1.0 / (2.0 * math.pi)) * math.exp(-0.5)
         assert class_likelihood(model, np.array([1.0, 0.0]), 0) == pytest.approx(expected)
 
     def test_vanishes_far_away(self):
-        model = gda.GdaModel(means=np.array([[0.0, 0.0], [5.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
+        model = heads.GaussianHeadParams(means=np.array([[0.0, 0.0], [5.0, 0.0]]), tri_raw=np.zeros((2, 2)))
         assert class_likelihood(model, np.array([40.0, 0.0]), 0) < 1e-200
 
     def test_matches_explicit_density(self):
         rng = np.random.default_rng(21)
         model, data = random_fitted_model(rng)
         for _ in range(20):
-            z = data.features[int(rng.integers(len(data)))] + 0.5 * rng.standard_normal(model.dim)
-            i = int(rng.integers(model.n_classes))
-            expected = gaussian_density(z, model.means[i], model.tied_cov)
+            z = data.features[int(rng.integers(len(data)))] + 0.5 * rng.standard_normal(data.dim)
+            i = int(rng.integers(len(model.means)))
+            expected = gaussian_density(z, model.means[i], tied_cov(model))
             assert class_likelihood(model, z, i) == pytest.approx(expected, rel=1e-10)
 
 
 class TestPosterior:
     def test_symmetric_midpoint(self):
-        model = gda.GdaModel(means=np.array([[3.0, 0.0], [-3.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
+        model = heads.GaussianHeadParams(means=np.array([[3.0, 0.0], [-3.0, 0.0]]), tri_raw=np.zeros((2, 2)))
         np.testing.assert_allclose(posterior(model, np.zeros(2)), [0.5, 0.5], atol=1e-12)
 
     def test_two_class_logistic_closed_form(self):
-        model = gda.GdaModel(means=np.array([[3.0, 0.0], [-3.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
+        model = heads.GaussianHeadParams(means=np.array([[3.0, 0.0], [-3.0, 0.0]]), tri_raw=np.zeros((2, 2)))
         post = posterior(model, np.array([3.0, 0.0]))
         assert post[0] == pytest.approx(1.0 / (1.0 + math.exp(-18.0)))
 
@@ -127,11 +129,11 @@ class TestPosterior:
         rng = np.random.default_rng(31)
         for _ in range(100):
             model, data = random_fitted_model(rng)
-            z = data.features[int(rng.integers(len(data)))] + rng.standard_normal(model.dim)
+            z = data.features[int(rng.integers(len(data)))] + rng.standard_normal(data.dim)
             post = posterior(model, z)
             assert post.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(post > 0)
-            np.testing.assert_allclose(post, bayes_posterior(z, model.means, model.tied_cov), atol=1e-10)
+            np.testing.assert_allclose(post, bayes_posterior(z, model.means, tied_cov(model)), atol=1e-10)
 
     def test_linear_argmax_equals_likelihood_argmax(self):
         rng = np.random.default_rng(41)
@@ -139,7 +141,7 @@ class TestPosterior:
         w_hat, b_hat = gda.closed_form_discriminant(model)
         for z in data.features:
             linear = int(np.argmax(w_hat @ z + b_hat))
-            liks = [class_likelihood(model, z, i) for i in range(model.n_classes)]
+            liks = [class_likelihood(model, z, i) for i in range(len(model.means))]
             assert linear == int(np.argmax(liks))
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oodlab import gda, heads
-from oracles import central_difference, head_row, head_row_backward, max_rel_error
+from oracles import central_difference, head_row, head_row_backward, materialize, max_rel_error
 
 
 def random_gaussian_head(rng, dim=3, n_classes=2):
@@ -25,7 +25,7 @@ class TestLinearForward:
         np.testing.assert_allclose(head_row(params, np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_closed_form_scores(self):
-        model = gda.GdaModel(means=np.array([[1.0, 0.0], [-1.0, 0.0]]), tied_cov=np.eye(2), chol=np.eye(2))
+        model = heads.GaussianHeadParams(means=np.array([[1.0, 0.0], [-1.0, 0.0]]), tri_raw=np.zeros((2, 2)))
         w_hat, b_hat = gda.closed_form_discriminant(model)
         params = heads.LinearHeadParams(weight=w_hat, bias=b_hat)
         np.testing.assert_allclose(head_row(params, np.array([1.0, 0.0])), [0.5, -1.5])
@@ -83,11 +83,9 @@ class TestGaussianForward:
             cov = base @ base.T + dim * np.eye(dim)
             from oodlab import linalg
 
-            chol = linalg.cholesky(cov)
-            model = gda.GdaModel(means=means, tied_cov=cov, chol=chol)
-            w_hat, b_hat = gda.closed_form_discriminant(model)
+            gaussian = heads.GaussianHeadParams.from_factor(means, linalg.cholesky(cov))
+            w_hat, b_hat = gda.closed_form_discriminant(gaussian)
             linear = heads.LinearHeadParams(weight=w_hat, bias=b_hat)
-            gaussian = heads.GaussianHeadParams.from_factor(means, chol)
             for _ in range(10):
                 z = 3.0 * rng.standard_normal(dim)
                 assert int(np.argmax(head_row(linear, z))) == int(
@@ -215,5 +213,15 @@ class TestFactorRoundTrip:
         lower = np.tril(rng.standard_normal((4, 4)))
         np.fill_diagonal(lower, np.abs(np.diag(lower)) + 0.5)
         params = heads.GaussianHeadParams.from_factor(np.zeros((2, 4)), lower)
-        np.testing.assert_allclose(params.materialize(), lower, atol=1e-14)
-        assert np.all(np.diag(params.materialize()) > 0)
+        np.testing.assert_allclose(materialize(params.tri_raw), lower, atol=1e-14)
+        assert np.all(np.diag(materialize(params.tri_raw)) > 0)
+
+
+class TestClassCount:
+    @pytest.mark.parametrize("n_classes", [0, 1])
+    @pytest.mark.parametrize("kind", list(heads.HEAD_TYPES))
+    def test_fewer_than_two_classes_rejected(self, kind, n_classes):
+        head_type = heads.HEAD_TYPES[kind]
+        shapes = head_type.shapes(n_classes, 3)
+        with pytest.raises(ValueError, match=f"need at least two classes, got {n_classes}"):
+            head_type(**{name: np.zeros(shape) for name, shape in shapes.items()})

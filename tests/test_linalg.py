@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodlab import linalg
+from oodlab import heads, linalg
+from oracles import materialize, tri_inverse_oracle
 
 
 def random_spd(rng, dim):
@@ -51,37 +52,47 @@ class TestCholesky:
             np.testing.assert_allclose(lower @ lower.T, a, atol=1e-10 * max(1.0, np.abs(a).max()))
 
 
+def as_raw(lower):
+    """A full lower factor in the raw form ``linalg`` reads: its strictly lower entries, and logs on the diagonal."""
+    return heads.GaussianHeadParams.from_factor(np.zeros((2, len(lower))), lower).tri_raw
+
+
 class TestTriSolve:
     def test_identity(self):
-        np.testing.assert_allclose(linalg.tri_solve_lower(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
+        np.testing.assert_allclose(linalg.tri_solve_lower(np.zeros((2, 2))), np.eye(2))
 
     def test_forward_substitution(self):
         lower = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        x = linalg.tri_solve_lower(lower, np.array([1.0, 0.0]))
+        x = linalg.tri_solve_lower(as_raw(lower))[:, 0]
         np.testing.assert_allclose(x, [0.5, -0.5 / math.sqrt(2.0)])
         np.testing.assert_allclose(lower @ x, [1.0, 0.0], atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.tri_solve_lower(np.eye(2), np.array([1.0, 2.0, 3.0]))
-
-    def test_multi_column(self):
-        rng = np.random.default_rng(7)
-        lower = linalg.cholesky(random_spd(rng, 4))
-        rhs = rng.standard_normal((4, 6))
-        x = linalg.tri_solve_lower(lower, rhs)
-        np.testing.assert_allclose(lower @ x, rhs, atol=1e-10)
 
     def test_inverse_factor(self):
         rng = np.random.default_rng(8)
         lower = linalg.cholesky(random_spd(rng, 5))
-        _, inverse = linalg.whiten(lower, np.zeros((1, 5)), np.zeros((1, 5)))
+        _, inverse = linalg.whiten(as_raw(lower), np.zeros((1, 5)), np.zeros((1, 5)))
         np.testing.assert_allclose(lower @ inverse, np.eye(5), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_inverse_read_from_raw_factor(self, dim):
+        # Any strictly lower entries and a log-diagonal in [-3, 3]; the upper
+        # triangle of the raw array is ignored, so it is filled with junk.
+        # Entries that cancel in the substitution are compared relative to
+        # the largest entry of the inverse.
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(20):
+            tri_raw = rng.standard_normal((dim, dim))
+            np.fill_diagonal(tri_raw, rng.uniform(-3.0, 3.0, dim))
+            inverse = linalg.tri_solve_lower(tri_raw)
+            assert np.all(np.triu(inverse, 1) == 0.0)
+            expected = np.linalg.inv(materialize(tri_raw))
+            assert np.all(np.abs(inverse - expected) <= 1e-12 * np.abs(expected).max())
+            np.testing.assert_array_equal(inverse, tri_inverse_oracle(tri_raw))
 
 
 def sq_mahalanobis(lower, centers, z):
     """(B, K) squared norms of the whitened residuals."""
-    v, _ = linalg.whiten(lower, centers, z)
+    v, _ = linalg.whiten(as_raw(lower), centers, z)
     return np.einsum("bkj,bkj->bk", v, v)
 
 
