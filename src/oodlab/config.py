@@ -143,7 +143,7 @@ def _read_keys(path) -> dict[str, dict[str, object]]:
     """The parsed value of every key the file sets, grouped by config part."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {path}")
         if parser.defaults():
             raise ConfigError(f"[DEFAULT] keys are not supported, got {sorted(parser.defaults())}")
@@ -159,7 +159,7 @@ def _read_keys(path) -> dict[str, dict[str, object]]:
                     given[part][field] = parse(raw.strip())
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return given
 

@@ -1,9 +1,10 @@
 """Detector evaluation metrics: AUROC, AUPR, FPR at a TPR target, histograms.
 
-Every metric takes two float arrays, the in-distribution scores and the
+``compute_report`` takes two float arrays, the in-distribution scores and the
 out-of-distribution scores, following the convention "higher means more
-in-distribution". The fast implementations here are sort-based; their O(n^2)
-pairwise and exhaustive threshold-sweep twins live in the test suite and must
+in-distribution". It groups tied scores once, counts each domain's scores per
+group, and reads all three metrics from those counts. Their O(n^2) pairwise
+and exhaustive threshold-sweep twins live in ``tests/oracles.py`` and must
 agree to 1e-12.
 
 Conventions pinned here because they change the numbers:
@@ -53,78 +54,44 @@ def _score_arrays(s_in: Sequence[float], s_out: Sequence[float]) -> tuple[np.nda
     return s_in, s_out
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the mean rank of their group.
-
-    A group of ``count`` tied values ending at 1-based rank ``end`` has mean
-    rank ``end - (count - 1) / 2``, an exact half-integer.
-    """
-    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return (ends - 0.5 * (counts - 1))[group]
-
-
-def auroc(s_in: Sequence[float], s_out: Sequence[float]) -> float:
-    """Probability an in-score outranks an out-score, ties counting one half."""
+def compute_report(
+    s_in: Sequence[float], s_out: Sequence[float], aupr_positive: str = DOMAIN_OUT, tpr_target: float = 0.95
+) -> MetricsReport:
+    """AUROC, AUPR and the FPR at ``tpr_target``, all read from one grouping of the tied scores."""
     in_scores, out_scores = _score_arrays(s_in, s_out)
-    ranks = _average_ranks(np.concatenate([in_scores, out_scores]))
-    n_in, n_out = len(in_scores), len(out_scores)
-    rank_sum = float(ranks[:n_in].sum())
-    return (rank_sum - n_in * (n_in + 1) / 2.0) / (n_in * n_out)
-
-
-def aupr(s_in: Sequence[float], s_out: Sequence[float], positive: str = DOMAIN_OUT) -> float:
-    """Step-wise area under the precision-recall curve for the chosen positive class."""
-    if positive not in (DOMAIN_IN, DOMAIN_OUT):
-        raise ValueError(f"positive must be 'in' or 'out', got {positive!r}")
-    in_scores, out_scores = _score_arrays(s_in, s_out)
-    if positive == DOMAIN_IN:
-        pos, neg = in_scores, out_scores
-    else:
-        # Low scores flag the out class, so sweep the negated axis.
-        pos, neg = -out_scores, -in_scores
-    scores = np.concatenate([pos, neg])
-    labels = np.concatenate([np.ones(len(pos), dtype=bool), np.zeros(len(neg), dtype=bool)])
-    order = np.argsort(-scores, kind="mergesort")
-    scores, labels = scores[order], labels[order]
-    # Group tied scores at a single threshold.
-    distinct = np.nonzero(np.diff(scores))[0]
-    group_ends = np.concatenate([distinct, [len(scores) - 1]])
-    tp = np.cumsum(labels)[group_ends]
-    predicted = group_ends + 1.0
-    precision = tp / predicted
-    recall = tp / len(pos)
-    recall_steps = np.diff(recall, prepend=0.0)
-    return float((recall_steps * precision).sum())
-
-
-def fpr_at_tpr(s_in: Sequence[float], s_out: Sequence[float], tpr_target: float = 0.95) -> float:
-    """False-positive rate at the threshold where in-recall first reaches the target."""
+    if aupr_positive not in (DOMAIN_IN, DOMAIN_OUT):
+        raise ValueError(f"positive must be 'in' or 'out', got {aupr_positive!r}")
     if not 0.0 <= tpr_target <= 1.0:
         raise ValueError("tpr_target must be in [0, 1]")
-    in_scores, out_scores = _score_arrays(s_in, s_out)
-    n_in = len(in_scores)
+    n_in, n_out = len(in_scores), len(out_scores)
+    # Group g holds the g-th largest distinct score; -0.0 and 0.0 share a group.
+    distinct, group = np.unique(-np.concatenate([in_scores, out_scores]), return_inverse=True)
+    in_count = np.bincount(group[:n_in], minlength=distinct.size)
+    out_count = np.bincount(group[n_in:], minlength=distinct.size)
+    in_above = np.cumsum(in_count)  # in-scores at or above each group's score
+    # Each out-score loses to the in-scores of higher groups and to half of its own.
+    # The sum is of half-integers below 2**52, so it is exact.
+    wins = float((out_count * (in_above - 0.5 * in_count)).sum())
+    if aupr_positive == DOMAIN_IN:
+        pos_count, neg_count, n_pos = in_count, out_count, n_in
+    else:
+        # Low scores flag the out class, so sweep the groups from the lowest up.
+        pos_count, neg_count, n_pos = out_count[::-1], in_count[::-1], n_out
+    tp = np.cumsum(pos_count)
+    precision = tp / (tp + np.cumsum(neg_count))
     k = int(np.ceil(tpr_target * n_in))
     while k > 0 and (k - 1) / n_in >= tpr_target:
         k -= 1
     while k / n_in < tpr_target:
         k += 1
-    if k == 0:
-        return 0.0
-    threshold = np.sort(in_scores)[n_in - k]
-    return float(np.mean(out_scores >= threshold))
-
-
-def compute_report(
-    s_in: Sequence[float], s_out: Sequence[float], aupr_positive: str = DOMAIN_OUT, tpr_target: float = 0.95
-) -> MetricsReport:
-    in_scores, out_scores = _score_arrays(s_in, s_out)
+    # The threshold is the k-th largest in-score, the first group whose in-tail reaches k.
+    out_reached = np.cumsum(out_count)[np.searchsorted(in_above, k)] if k else 0
     return MetricsReport(
-        auroc=auroc(in_scores, out_scores),
-        aupr=aupr(in_scores, out_scores, positive=aupr_positive),
-        fpr95=fpr_at_tpr(in_scores, out_scores, tpr_target=tpr_target),
-        n_in=len(in_scores),
-        n_out=len(out_scores),
+        auroc=wins / (n_in * n_out),
+        aupr=float((np.diff(tp / n_pos, prepend=0.0) * precision).sum()),
+        fpr95=float(out_reached / n_out),
+        n_in=n_in,
+        n_out=n_out,
     )
 
 

@@ -328,7 +328,7 @@ def _epoch_log(
     loss_out: float,
     eval_in: LabeledSet,
     eval_out: LabeledSet,
-    step: int = 0,
+    step: int,
 ) -> EpochLog:
     # Each eval set is forwarded once; every per-epoch figure reads these two
     # score matrices. They stay separate calls so the BLAS results match
@@ -336,16 +336,16 @@ def _epoch_log(
     # The Gaussian head's confidence lies in (0, 1] under any criterion.
     hist_scorer = "ice_conf" if config.head == heads.GaussianHeadParams.KIND else "max_logit"
     # As in batch_gradients, overflow surfaces as the NonFiniteState below.
+    # Both scorers are checked: ice_conf = exp(max h) stays finite when h is -inf.
     with np.errstate(over="ignore", invalid="ignore"):
         scores_in = scores_batch(model, eval_in.features)
         scores_out = scores_batch(model, eval_out.features)
-        conf_in = SCORERS[hist_scorer](scores_in)
-        conf_out = SCORERS[hist_scorer](scores_out)
+        conf_in, conf_out = SCORERS[hist_scorer](scores_in), SCORERS[hist_scorer](scores_out)
+        s_in, s_out = SCORERS[config.scorer](scores_in), SCORERS[config.scorer](scores_out)
     combined = np.concatenate([conf_in, conf_out])
-    if not np.all(np.isfinite(combined)):
+    if not all(np.all(np.isfinite(values)) for values in (combined, s_in, s_out)):
         raise NonFiniteState(f"non-finite eval score after step {step}", step)
-    scorer = SCORERS[config.scorer]
-    report = metrics.compute_report(scorer(scores_in), scorer(scores_out), aupr_positive=config.aupr_positive)
+    report = metrics.compute_report(s_in, s_out, aupr_positive=config.aupr_positive)
     acc = float(np.mean(scores_in.argmax(axis=1) == eval_in.labels))
     if hist_scorer == "ice_conf":
         value_range = (0.0, 1.0)

@@ -83,9 +83,13 @@ def sweep_aupr(in_scores, out_scores, positive):
 
 
 def sweep_fpr_at_tpr(in_scores, out_scores, tpr_target):
-    """Largest threshold whose inclusive in-tail reaches the target, by full scan."""
+    """Largest threshold whose inclusive in-tail reaches the target, by full scan.
+
+    The scan starts above every score (tau = +inf, TPR 0), so a target of 0 is met
+    with no in-score counted.
+    """
     best_tau = None
-    for tau in sorted(set(in_scores), reverse=True):
+    for tau in [math.inf, *sorted(set(in_scores), reverse=True)]:
         tpr = sum(1 for s in in_scores if s >= tau) / len(in_scores)
         if tpr >= tpr_target:
             best_tau = tau

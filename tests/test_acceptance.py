@@ -346,17 +346,17 @@ class TestCriterion3MetricOracles:
             else:
                 in_s = rng.standard_normal(n_in)
                 out_s = rng.standard_normal(n_out)
-            worst = max(worst, abs(metrics.auroc(in_s, out_s) - pairwise_auroc(in_s, out_s)))
             positive = "in" if rng.random() < 0.5 else "out"
-            worst = max(
-                worst, abs(metrics.aupr(in_s, out_s, positive=positive) - sweep_aupr(in_s, out_s, positive))
-            )
             target = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99, 1.0]))
+            report = metrics.compute_report(in_s, out_s, aupr_positive=positive, tpr_target=target)
             worst = max(
-                worst, abs(metrics.fpr_at_tpr(in_s, out_s, target) - sweep_fpr_at_tpr(in_s, out_s, target))
+                worst,
+                abs(report.auroc - pairwise_auroc(in_s, out_s)),
+                abs(report.aupr - sweep_aupr(in_s, out_s, positive)),
+                abs(report.fpr95 - sweep_fpr_at_tpr(in_s, out_s, target)),
             )
-        separable = [3.0, 2.0], [1.0, 0.0]
-        exact = metrics.auroc(*separable) == 1.0 and metrics.fpr_at_tpr(*separable, 0.95) == 0.0
+        separable = metrics.compute_report([3.0, 2.0], [1.0, 0.0], tpr_target=0.95)
+        exact = separable.auroc == 1.0 and separable.fpr95 == 0.0
         check(
             3,
             f"metrics match brute-force oracles over 500 instances (worst |diff| {worst:.2e}) "

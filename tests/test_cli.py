@@ -128,12 +128,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "text",
-        ["mu = 3.0\n", "[data]\nmu = 3.0\nmu = 2.0\n", "[data]\ndata_dir = a%b\n"],
-        ids=["no_section_header", "duplicate_key", "bad_interpolation"],
+        [b"mu = 3.0\n", b"[data]\nmu = 3.0\nmu = 2.0\n", b"[data]\ndata_dir = a%b\n", b"[data]\nn = 300\n# caf\xe9\n"],
+        ids=["no_section_header", "duplicate_key", "bad_interpolation", "not_utf8"],
     )
     def test_malformed_ini_rejected(self, tmp_path, capsys, text):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(text)
+        cfg.write_bytes(text)
         assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
@@ -441,6 +441,28 @@ class TestTrain:
             },
         )
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("scorer", ["max_logit", "msp", "energy_score", "ice_conf"])
+    def test_eval_score_of_far_outliers(self, tmp_path, capsys, scorer):
+        # Outliers at radius 1e200 drive the Gaussian head's scores to -inf.
+        # ice_conf = exp(max h) is then 0, a finite score; the other three are
+        # not finite, and the report scorer's values used to reach the metrics
+        # unchecked (exit 1 with a traceback).
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[data]\nn = 300\nn_hard = 40\nhard_radius = 1e200\n[criterion]\nkind = ice\n"
+            f"[training]\nepochs = 1\n[eval]\nscorer = {scorer}\n"
+        )
+        out = tmp_path / "o"
+        code = cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if scorer == "ice_conf":
+            assert code == 0
+            expected = b"auroc,aupr,fpr95,n_in,n_out,acc_in\r\n1.0,1.0,0.0,288,40,0.9409722222222222\r\n"
+            assert (out / "metrics.csv").read_bytes() == expected
+        else:
+            assert code == 3
+            assert "non-finite eval score after step 2" in err and "Traceback" not in err
 
     def test_default_config_seed_611_trains(self, tmp_path):
         # A seed whose early Gaussian-head steps overflowed the factor before

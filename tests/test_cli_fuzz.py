@@ -1,9 +1,10 @@
 """CLI exit-code contract under mutated input files.
 
 One cell of a ``gen-data`` CSV or one value of a ``checkpoint.txt`` line is
-replaced, then ``train`` (on the data directory) or ``export-features`` (with
-the checkpoint) runs as a separate process. Whatever the input, the process
-must exit 0, 2, 3 or 4 with no traceback on stderr.
+replaced, then ``train`` (on the data directory, under a drawn ``[eval]
+scorer``) or ``export-features`` (with the checkpoint) runs as a separate
+process. Whatever the input, the process must exit 0, 2, 3 or 4 with no
+traceback on stderr.
 """
 
 import os
@@ -25,12 +26,16 @@ CSV_END = "\r\n"
 LABEL_PAIRS = [("", "out"), ("-1", "out"), ("-2", "out"), ("0", "in"), ("1", "in"), ("7", "in"), ("x", "in")]
 TAGS = ["in", "out", "", "x"]
 FLOAT_TEXT = st.one_of(st.sampled_from(["", "x", "nan", "inf", "1e400", "1e308"]), st.floats().map(repr))
+# Every scorer the Gaussian head of the tiny config allows; train evaluates with it each epoch.
+SCORERS = st.sampled_from(["msp", "max_logit", "energy_score", "ice_conf"])
 
 mutations = st.one_of(
-    st.tuples(st.sampled_from(cli.DATA_FILES), st.integers(0, 999), st.just("label"), st.sampled_from(LABEL_PAIRS)),
-    st.tuples(st.sampled_from(cli.DATA_FILES), st.integers(0, 999), st.just("tag"), st.sampled_from(TAGS)),
-    st.tuples(st.sampled_from(cli.DATA_FILES), st.integers(0, 999), st.integers(0, 9), FLOAT_TEXT),
-    st.tuples(st.just("checkpoint.txt"), st.integers(0, 999), st.integers(0, 999), FLOAT_TEXT),
+    st.tuples(
+        st.sampled_from(cli.DATA_FILES), st.integers(0, 999), st.just("label"), st.sampled_from(LABEL_PAIRS), SCORERS
+    ),
+    st.tuples(st.sampled_from(cli.DATA_FILES), st.integers(0, 999), st.just("tag"), st.sampled_from(TAGS), SCORERS),
+    st.tuples(st.sampled_from(cli.DATA_FILES), st.integers(0, 999), st.integers(0, 9), FLOAT_TEXT, SCORERS),
+    st.tuples(st.just("checkpoint.txt"), st.integers(0, 999), st.integers(0, 999), FLOAT_TEXT, st.none()),
 )
 
 
@@ -81,9 +86,10 @@ def mutate_checkpoint(text, line, token, value):
 
 @settings(max_examples=25, deadline=None)
 @given(mutations)
-@example(("train_in.csv", 0, "label", ("", "out")))
+@example(("train_in.csv", 0, "label", ("", "out"), "ice_conf"))
+@example(("eval_out.csv", 0, 0, "1e200", "max_logit"))  # a non-finite report score used to exit 1
 def test_mutated_input_keeps_exit_contract(base, mutation):
-    target, row, column, value = mutation
+    target, row, column, value, scorer = mutation
     with tempfile.TemporaryDirectory() as tmp:
         if target == "checkpoint.txt":
             ckpt = os.path.join(tmp, target)
@@ -94,7 +100,7 @@ def test_mutated_input_keeps_exit_contract(base, mutation):
                 text = read(os.path.join(base, "data", name))
                 write(os.path.join(tmp, name), mutate_csv(text, row, column, value) if name == target else text)
             data_config = os.path.join(tmp, "d.ini")
-            write(data_config, TINY.format(data=f"data_dir = {tmp}\n"))
+            write(data_config, TINY.format(data=f"data_dir = {tmp}\n") + f"[eval]\nscorer = {scorer}\n")
             argv = ["train", "--config", data_config]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(

@@ -6,6 +6,28 @@ from hypothesis import strategies as st
 from oodlab import metrics
 from oracles import pairwise_auroc, sweep_aupr, sweep_fpr_at_tpr
 
+# Tie-heavy instances checked against the oracles after each random batch: an
+# all-tied set, mixed -0.0/0.0, and many exact 0.0 scores (ice_conf underflow).
+TIE_HEAVY = [
+    ([0.5] * 7, [0.5] * 4),
+    ([-0.0, 0.0, 0.0, 1.0, -0.0], [0.0, -0.0, -1.0, 0.0]),
+    ([0.0] * 30 + [0.2, 0.7, 0.7], [0.0] * 45 + [0.7, 0.1]),
+]
+
+
+# One reader per metric, each one field of compute_report; TestInputChecks
+# runs its input checks through all three and through the report itself.
+def auroc(s_in, s_out):
+    return metrics.compute_report(s_in, s_out).auroc
+
+
+def aupr(s_in, s_out, positive="out"):
+    return metrics.compute_report(s_in, s_out, aupr_positive=positive).aupr
+
+
+def fpr_at_tpr(s_in, s_out, tpr_target=0.95):
+    return metrics.compute_report(s_in, s_out, tpr_target=tpr_target).fpr95
+
 
 def random_instance(rng, allow_ties=True):
     n_in = int(rng.integers(1, 101))
@@ -23,24 +45,26 @@ def random_instance(rng, allow_ties=True):
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert metrics.auroc([0.9, 0.8], [0.2, 0.1]) == 1.0
+        assert auroc([0.9, 0.8], [0.2, 0.1]) == 1.0
 
     def test_pairwise_example(self):
-        assert metrics.auroc([0.8, 0.4], [0.6, 0.2]) == pytest.approx(0.75)
+        assert auroc([0.8, 0.4], [0.6, 0.2]) == pytest.approx(0.75)
 
     def test_tie_convention(self):
-        assert metrics.auroc([0.5], [0.5]) == pytest.approx(0.5)
+        assert auroc([0.5], [0.5]) == pytest.approx(0.5)
 
     def test_missing_domain(self):
         with pytest.raises(ValueError, match="need at least one score per domain"):
-            metrics.auroc([0.5], [])
+            auroc([0.5], [])
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(150):
             in_s, out_s = random_instance(rng)
-            fast = metrics.auroc(in_s, out_s)
+            fast = auroc(in_s, out_s)
             assert abs(fast - pairwise_auroc(in_s, out_s)) <= 1e-12
+        for in_s, out_s in TIE_HEAVY:
+            assert abs(auroc(in_s, out_s) - pairwise_auroc(in_s, out_s)) <= 1e-12
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -48,8 +72,8 @@ class TestAuroc:
         rng = np.random.default_rng(seed)
         in_s = rng.standard_normal(12)
         out_s = rng.standard_normal(9)
-        base = metrics.auroc(in_s, out_s)
-        transformed = metrics.auroc(np.exp(0.5 * in_s), np.exp(0.5 * out_s))
+        base = auroc(in_s, out_s)
+        transformed = auroc(np.exp(0.5 * in_s), np.exp(0.5 * out_s))
         assert transformed == pytest.approx(base, abs=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
@@ -58,61 +82,66 @@ class TestAuroc:
         rng = np.random.default_rng(seed)
         in_s = rng.standard_normal(10)
         out_s = rng.standard_normal(7)
-        forward = metrics.auroc(in_s, out_s)
-        swapped = metrics.auroc(out_s, in_s)
+        forward = auroc(in_s, out_s)
+        swapped = auroc(out_s, in_s)
         assert swapped == pytest.approx(1.0 - forward, abs=1e-12)
 
 
 class TestAupr:
     def test_perfect_separation(self):
-        assert metrics.aupr([0.9, 0.8], [0.2, 0.1], positive="in") == pytest.approx(1.0)
-        assert metrics.aupr([0.9, 0.8], [0.2, 0.1], positive="out") == pytest.approx(1.0)
+        assert aupr([0.9, 0.8], [0.2, 0.1], positive="in") == pytest.approx(1.0)
+        assert aupr([0.9, 0.8], [0.2, 0.1], positive="out") == pytest.approx(1.0)
 
     def test_step_wise_example(self):
         # descending thresholds: P=1 at R=1/2, then P=2/3 at R=1 -> 1/2 + 1/2 * 2/3
-        value = metrics.aupr([0.8, 0.4], [0.6, 0.2], positive="in")
+        value = aupr([0.8, 0.4], [0.6, 0.2], positive="in")
         assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_single_top_positive(self):
-        assert metrics.aupr([0.9], [0.5, 0.4], positive="in") == pytest.approx(1.0)
+        assert aupr([0.9], [0.5, 0.4], positive="in") == pytest.approx(1.0)
 
     def test_bad_positive_argument(self):
         with pytest.raises(ValueError):
-            metrics.aupr([1.0], [0.0], positive="neither")
+            aupr([1.0], [0.0], positive="neither")
 
     @pytest.mark.parametrize("positive", ["in", "out"])
     def test_matches_sweep_oracle(self, positive):
         rng = np.random.default_rng(1)
         for _ in range(150):
             in_s, out_s = random_instance(rng)
-            fast = metrics.aupr(in_s, out_s, positive=positive)
+            fast = aupr(in_s, out_s, positive=positive)
             assert abs(fast - sweep_aupr(in_s, out_s, positive)) <= 1e-12
+        for in_s, out_s in TIE_HEAVY:
+            assert abs(aupr(in_s, out_s, positive=positive) - sweep_aupr(in_s, out_s, positive)) <= 1e-12
 
 
 class TestFprAtTpr:
     def test_perfect_separation(self):
-        assert metrics.fpr_at_tpr([0.9, 0.8], [0.2, 0.1]) == 0.0
+        assert fpr_at_tpr([0.9, 0.8], [0.2, 0.1]) == 0.0
 
     def test_threshold_example(self):
-        assert metrics.fpr_at_tpr([0.9, 0.8, 0.7, 0.6], [0.65, 0.1], 0.95) == pytest.approx(0.5)
+        assert fpr_at_tpr([0.9, 0.8, 0.7, 0.6], [0.65, 0.1], 0.95) == pytest.approx(0.5)
 
     def test_all_equal_degenerate(self):
-        assert metrics.fpr_at_tpr([0.5, 0.5], [0.5, 0.5], 0.95) == 1.0
+        assert fpr_at_tpr([0.5, 0.5], [0.5, 0.5], 0.95) == 1.0
 
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(150):
             in_s, out_s = random_instance(rng)
             target = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99, 1.0]))
-            fast = metrics.fpr_at_tpr(in_s, out_s, target)
+            fast = fpr_at_tpr(in_s, out_s, target)
             assert abs(fast - sweep_fpr_at_tpr(in_s, out_s, target)) <= 1e-12
+        for in_s, out_s in TIE_HEAVY + [random_instance(rng) for _ in range(50)]:
+            for target in (0.0, 0.5, 0.95, 1.0):
+                assert abs(fpr_at_tpr(in_s, out_s, target) - sweep_fpr_at_tpr(in_s, out_s, target)) <= 1e-12
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_target(self, seed):
         rng = np.random.default_rng(seed)
         in_s, out_s = rng.standard_normal(20), rng.standard_normal(15)
-        values = [metrics.fpr_at_tpr(in_s, out_s, t) for t in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
+        values = [fpr_at_tpr(in_s, out_s, t) for t in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -149,7 +178,7 @@ class TestHistogram:
         assert hist.counts.sum() == len(scores)
 
 
-METRIC_FUNCTIONS = [metrics.auroc, metrics.aupr, metrics.fpr_at_tpr, metrics.compute_report]
+METRIC_FUNCTIONS = [auroc, aupr, fpr_at_tpr, metrics.compute_report]
 
 
 class TestInputChecks:
@@ -171,3 +200,8 @@ class TestInputChecks:
         s_in, s_out = ([], [0.5, 0.1]) if side == "in" else ([0.5, 0.1], [])
         with pytest.raises(ValueError, match="need at least one score per domain"):
             metric(np.array(s_in), np.array(s_out))
+
+    @pytest.mark.parametrize("target", [-0.1, 1.5, np.nan])
+    def test_tpr_target_out_of_range(self, target):
+        with pytest.raises(ValueError, match=r"tpr_target must be in \[0, 1\]"):
+            metrics.compute_report([0.9, 0.4], [0.6], tpr_target=target)
