@@ -9,6 +9,18 @@ output. Each layer allocates one array, its matmul output, and adds the bias
 and applies ReLU to it in place. The backward pass reads the ReLU mask off a
 layer's output, since max(pre, 0) > 0 exactly where pre > 0 (NaN included);
 the ReLU subgradient at zero is taken as zero.
+
+A forward that no backward follows (class means, eval scoring, feature
+export) goes through ``forward_features`` instead: it keeps no cache and runs
+the rows in nearly equal blocks of at most ``FORWARD_BLOCK_ROWS``, writing the
+last layer of each block straight into one preallocated output. The hidden
+layers alternate between the two halves of one block-sized scratch array, so
+a call makes the same two allocations whatever its row count, and the
+allocator hands their memory to the next call instead of returning it to the
+system and faulting it back in. Each row's features equal ``forward_batch``'s
+bit for bit: the matmul kernels give a row the same sums at any block height
+of a few hundred rows or more, and the even split keeps every block there,
+clear of the few-row remainders where the sums differ.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+FORWARD_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -76,12 +90,41 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np
     cache = [out]
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
-        out = out @ layer.weight.T
-        out += layer.bias
-        if idx < last:
-            np.maximum(out, 0.0, out=out)
+        out = _layer_forward(layer, out, relu=idx < last)
         cache.append(out)
     return out, cache
+
+
+def forward_features(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Features of a (N, in_dim) batch, equal to ``forward_batch(params, x)[0]``, with no cache.
+
+    The rows are split as ``np.array_split`` splits them, into
+    ceil(N / FORWARD_BLOCK_ROWS) blocks whose sizes differ by at most one.
+    Hidden layers alternate between the two halves of one scratch array.
+    """
+    x = np.asarray(x, dtype=float)
+    feats = np.empty((x.shape[0], params.out_dim))
+    n_blocks = max(1, -(-x.shape[0] // FORWARD_BLOCK_ROWS))
+    largest_block = -(-x.shape[0] // n_blocks)
+    hidden = params.widths[1:-1]
+    half = largest_block * max(hidden, default=0)
+    scratch = np.empty(2 * half)
+    for block, dest in zip(np.array_split(x, n_blocks), np.array_split(feats, n_blocks)):
+        for idx, width in enumerate(hidden):
+            start = idx % 2 * half
+            out = scratch[start : start + block.shape[0] * width].reshape(-1, width)
+            block = _layer_forward(params.layers[idx], block, relu=True, out=out)
+        _layer_forward(params.layers[-1], block, relu=False, out=dest)
+    return feats
+
+
+def _layer_forward(layer: Layer, inp: np.ndarray, relu: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """One layer's output: the matmul into ``out`` (a new array when None), then bias and ReLU in place."""
+    out = np.matmul(inp, layer.weight.T, out=out)
+    out += layer.bias
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
 
 
 def backward_batch(

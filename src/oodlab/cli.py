@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import criteria, trainer
+from . import BLAS_THREAD_VARS, BLAS_THREADS_DEFAULTED, criteria, trainer
 from .config import ExperimentConfig, load_config, resolved_ini
 from .errors import ConfigError, MalformedData, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows, write_csv_table
@@ -69,7 +69,12 @@ def _prepare_out(config: ExperimentConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.ini"), "w") as fh:
         fh.write(resolved_ini(config))
-    meta = {"unix_time": time.time(), "argv": sys.argv[1:]}
+    meta = {
+        "unix_time": time.time(),
+        "argv": sys.argv[1:],
+        "blas_thread_env": {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ},
+        "blas_threads_defaulted": BLAS_THREADS_DEFAULTED,
+    }
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

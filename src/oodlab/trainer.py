@@ -11,7 +11,10 @@ check are one array operation each. Training reaches the head only through
 initialisation, the scorer check and the histogram scorer depend on its kind.
 Evaluation runs per epoch: it forwards each eval set once and reads accuracy,
 the detector metrics and a confidence (Gaussian head) or max-logit (linear
-head) histogram from those scores, each a row of ``SCORERS``.
+head) histogram from those scores, each a row of ``SCORERS``. Every forward
+that no backward follows (the initial class means, eval scoring, feature
+export) runs through ``backbone.forward_features``, the cache-free forward in
+row blocks, so its features match the training path's bit for bit.
 
 A resolved ``TrainConfig`` is the one place that decides the head kind, the
 scorer and the outlier weight; training, the epoch log and the shift
@@ -219,7 +222,7 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
     widths = (train_in.dim,) + tuple(config.hidden) + (config.feature_dim,)
     net = bb.init_mlp(widths, component_rng(config.seed, "backbone_init"))
     with np.errstate(over="ignore", invalid="ignore"):
-        feats, _ = bb.forward_batch(net, train_in.features)
+        feats = bb.forward_features(net, train_in.features)
         class_means = np.zeros((n_classes, config.feature_dim))
         for k in range(n_classes):
             rows = feats[train_in.labels == k]
@@ -238,8 +241,7 @@ def build_model(config: TrainConfig, train_in: LabeledSet) -> Model:
 
 
 def features_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    feats, _ = bb.forward_batch(model.backbone, x)
-    return feats
+    return bb.forward_features(model.backbone, x)
 
 
 def scores_batch(model: Model, x: np.ndarray) -> np.ndarray:
@@ -331,8 +333,8 @@ def _epoch_log(
     step: int,
 ) -> EpochLog:
     # Each eval set is forwarded once; every per-epoch figure reads these two
-    # score matrices. They stay separate calls so the BLAS results match
-    # score_samples on each set bit for bit.
+    # score matrices. The forward's row blocks, not the call boundary, decide
+    # the BLAS bits, so they match score_samples on either set.
     # The Gaussian head's confidence lies in (0, 1] under any criterion.
     hist_scorer = "ice_conf" if config.head == heads.GaussianHeadParams.KIND else "max_logit"
     # As in batch_gradients, overflow surfaces as the NonFiniteState below.
@@ -341,7 +343,10 @@ def _epoch_log(
         scores_in = scores_batch(model, eval_in.features)
         scores_out = scores_batch(model, eval_out.features)
         conf_in, conf_out = SCORERS[hist_scorer](scores_in), SCORERS[hist_scorer](scores_out)
-        s_in, s_out = SCORERS[config.scorer](scores_in), SCORERS[config.scorer](scores_out)
+        if config.scorer == hist_scorer:
+            s_in, s_out = conf_in, conf_out
+        else:
+            s_in, s_out = SCORERS[config.scorer](scores_in), SCORERS[config.scorer](scores_out)
     combined = np.concatenate([conf_in, conf_out])
     if not all(np.all(np.isfinite(values)) for values in (combined, s_in, s_out)):
         raise NonFiniteState(f"non-finite eval score after step {step}", step)

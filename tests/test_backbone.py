@@ -80,6 +80,58 @@ class TestForward:
             np.testing.assert_array_equal(out, expected)
 
 
+class TestForwardFeatures:
+    # The training widths, so the matmuls take the BLAS paths the CLI takes.
+    WIDTHS = [2, 64, 64, 8]
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1910, 2049, 2910])
+    def test_matches_forward_batch_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        net = random_net(rng, widths=self.WIDTHS)
+        xs = 3.0 * rng.standard_normal((n, 2))
+        expected, _ = backbone.forward_batch(net, xs)
+        got = backbone.forward_features(net, xs)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("widths", [[3, 5], [3, 7, 4, 6, 2]])
+    def test_any_depth_matches_forward_batch(self, widths):
+        rng = np.random.default_rng(len(widths))
+        net = random_net(rng, widths=widths)
+        xs = rng.standard_normal((2100, 3))
+        assert np.array_equal(backbone.forward_features(net, xs), backbone.forward_batch(net, xs)[0])
+
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 2048, 2049, 2910, 5000])
+    def test_blocks_split_rows_evenly(self, n, monkeypatch):
+        block_rows = []
+        layer_forward = backbone._layer_forward
+
+        def record(layer, inp, relu, out=None):
+            if layer is net.layers[0]:
+                block_rows.append(inp.shape[0])
+            return layer_forward(layer, inp, relu, out=out)
+
+        monkeypatch.setattr(backbone, "_layer_forward", record)
+        rng = np.random.default_rng(7)
+        net = random_net(rng, widths=[2, 4, 3])
+        backbone.forward_features(net, rng.standard_normal((n, 2)))
+        limit = backbone.FORWARD_BLOCK_ROWS
+        assert sum(block_rows) == n
+        assert len(block_rows) == -(-n // limit)
+        assert max(block_rows) - min(block_rows) <= 1
+        assert max(block_rows) <= limit
+        if n > limit:
+            assert min(block_rows) >= limit // 2
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(8)
+        net = random_net(rng, widths=[3, 8, 8, 2])
+        xs = rng.standard_normal((1500, 3))
+        before = xs.copy()
+        backbone.forward_features(net, xs)
+        np.testing.assert_array_equal(xs, before)
+
+
 class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(4)

@@ -6,12 +6,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oodlab
 from oodlab import cli, criteria, errors, gda, shiftsim, trainer
 from oodlab.config import DEFAULT_ZETA, load_config
 from oodlab.seeding import component_seed
@@ -73,6 +76,47 @@ def tree_bytes(root, skip=("run_meta.json",)):
     return out
 
 
+BLAS_PROBE = """
+import json, os{preload}
+import oodlab
+print(json.dumps([{{var: os.environ.get(var) for var in oodlab.BLAS_THREAD_VARS}}, oodlab.BLAS_THREADS_DEFAULTED]))
+"""
+
+
+def blas_env_after_import(user_env: dict, preload: str = "") -> tuple[dict, bool]:
+    """The BLAS thread variables, and whether oodlab set them, after a fresh interpreter imports oodlab."""
+    env = {key: value for key, value in os.environ.items() if key not in oodlab.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(oodlab.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE.format(preload=preload)],
+        env={**env, **user_env},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after, defaulted = json.loads(proc.stdout)
+    return after, defaulted
+
+
+class TestBlasThreadDefault:
+    def test_one_thread_when_unset(self):
+        after, defaulted = blas_env_after_import({})
+        assert after == {var: "1" for var in oodlab.BLAS_THREAD_VARS}
+        assert defaulted is True
+
+    @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_user_value_wins(self, var):
+        after, defaulted = blas_env_after_import({var: "2"})
+        assert after == {name: ("2" if name == var else None) for name in oodlab.BLAS_THREAD_VARS}
+        assert defaulted is False
+
+    def test_left_alone_once_numpy_is_loaded(self):
+        after, defaulted = blas_env_after_import({}, preload="\nimport numpy")
+        assert after == dict.fromkeys(oodlab.BLAS_THREAD_VARS)
+        assert defaulted is False
+
+
 class TestGenData:
     def test_writes_four_files(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")
@@ -82,7 +126,10 @@ class TestGenData:
             header = (out / name).read_text().splitlines()[0]
             assert header == "x0,x1,label,domain"
         assert (out / "config.resolved.ini").exists()
-        assert (out / "run_meta.json").exists()
+        meta = json.loads((out / "run_meta.json").read_text())
+        in_force = {var: os.environ[var] for var in oodlab.BLAS_THREAD_VARS if var in os.environ}
+        assert meta["blas_thread_env"] == in_force
+        assert meta["blas_threads_defaulted"] is oodlab.BLAS_THREADS_DEFAULTED
 
     def test_idempotent_outputs(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini")

@@ -244,21 +244,45 @@ class TestEpochEval:
         data = small_splits()
         train_in, _, eval_in, eval_out = data
         cfg = quick_config(kind, epochs=2)
-        forward = trainer.bb.forward_batch
-        rows = []
+        rows = {"forward_batch": [], "forward_features": []}
 
-        def counting(params, x):
-            rows.append(x.shape[0])
-            return forward(params, x)
+        def counting(name):
+            forward = getattr(trainer.bb, name)
 
-        monkeypatch.setattr(trainer.bb, "forward_batch", counting)
+            def counted(params, x):
+                rows[name].append(x.shape[0])
+                return forward(params, x)
+
+            return counted
+
+        for name in rows:
+            monkeypatch.setattr(trainer.bb, name, counting(name))
         model, _ = trainer.train(cfg, *data)
         assert model.head_kind == head
         steps_per_epoch = math.ceil(len(train_in) / cfg.batch_in)
         train_rows = cfg.epochs * (len(train_in) + steps_per_epoch * cfg.batch_out)
         eval_rows = cfg.epochs * (len(eval_in) + len(eval_out))
         init_rows = len(train_in)  # both heads check the initial class feature means
-        assert sum(rows) == train_rows + eval_rows + init_rows
+        # Only the SGD steps, which run a backward, keep the forward cache.
+        assert sum(rows["forward_batch"]) == train_rows
+        assert sum(rows["forward_features"]) == eval_rows + init_rows
+
+    @pytest.mark.parametrize(
+        "kind,scorer,expected",
+        [
+            ("ice", "ice_conf", {"ice_conf": 2}),
+            ("oe", "max_logit", {"max_logit": 2}),
+            ("oe", "msp", {"max_logit": 2, "msp": 2}),
+        ],
+    )
+    def test_each_scorer_runs_once_per_eval_set(self, kind, scorer, expected, monkeypatch):
+        # The report scorer's scores are reused when it is also the histogram's.
+        calls = []
+        for name, func in trainer.SCORERS.items():
+            monkeypatch.setitem(trainer.SCORERS, name, lambda scores, name=name, func=func: calls.append(name) or func(scores))
+        cfg = quick_config(kind, epochs=2, scorer=scorer)
+        trainer.train(cfg, *small_splits())
+        assert {name: calls.count(name) for name in set(calls)} == {name: cfg.epochs * n for name, n in expected.items()}
 
     def test_whitens_once_per_step(self, monkeypatch):
         # One whitening per SGD step (the head backward reuses the forward's)
