@@ -8,8 +8,9 @@ case with a scalar value. One table row per criterion kind holds its default
 weight, whether it needs the Gaussian head, its in-distribution term and its
 outlier term, which id_loss and ood_loss call. They take the weight as an
 argument: the caller passes ``TrainConfig.outlier_weight`` (lambda * gamma),
-the one place it is formed, so the trainer and the shift simulation share one
-batch code path and one weight.
+the one place it is formed. Their one caller outside this module is
+``trainer.row_losses``, which puts each row of a labelled batch on one of the
+two terms by its label, for the training step and the shift simulation alike.
 
 Sign conventions worth keeping in mind:
   - sce pushes the ground-truth score up and every other score down;

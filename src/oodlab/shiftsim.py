@@ -4,7 +4,8 @@ Two experiments live here. The first searches a dataset for an (in, out) pair
 that the closed-form linear score ranks one way and the Gaussian likelihood
 the other. The second treats the feature vectors themselves as the trainable
 parameters, freezes a head at the fitted Gaussian model, and descends each
-feature on its own branch of a criterion, recording how the in- and
+feature on the branch of a criterion that its label picks
+(``trainer.row_losses``, as in training), recording how the in- and
 out-of-distribution populations move. Like training, it takes the head kind,
 the criterion and the outlier weight (lambda * gamma) from a resolved
 ``TrainConfig``, so the head and the loss can be varied apart. A trajectory
@@ -20,11 +21,11 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from . import criteria, heads
+from . import heads
 from .errors import ConfigError, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows, write_csv_table
 from .gda import DOMAIN_IN, LabeledSet, closed_form_discriminant, log_density, sample_synthetic, sq_mahalanobis
-from .trainer import TrainConfig
+from .trainer import TrainConfig, row_losses
 
 
 # Rows that all shift-bank draws together may use, per requested row. Redraws
@@ -226,9 +227,7 @@ def run_shift_sim(
         # Overflow is reported through NonFiniteState, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             scores, head_cache = heads.forward(head, feats)
-            upstream = np.empty_like(scores)
-            upstream[in_mask] = criteria.id_loss(criterion, scores[in_mask], labels[in_mask], weight).d_scores
-            upstream[~in_mask] = criteria.ood_loss(criterion, scores[~in_mask], weight).d_scores
+            upstream = row_losses(criterion, scores, labels, weight).d_scores
             d_feats, _ = heads.backward(head, head_cache, upstream)
             feats = feats - lr * d_feats
         if not np.all(np.isfinite(feats)):

@@ -1,20 +1,22 @@
 """Desk-scale training: SGD with momentum over backbone + head under any criterion.
 
 Each step draws a batch of in-distribution samples and an independent batch of
-outliers (the dual-loader protocol), forms the criterion's two branches, and
-applies one momentum-SGD update, with the global gradient norm clipped at the
-head's ``GRAD_NORM_BOUND``. Every parameter is a view of one float64 vector,
-``Model.flat``, and ``batch_gradients`` returns one gradient vector in the
-same layout, so the norm, the clip, the momentum update and the finiteness
-check are one array operation each. Training reaches the head only through
-``heads.forward``/``heads.backward`` and its params' fields; only the head's
-initialisation, the scorer check and the histogram scorer depend on its kind.
-Evaluation runs per epoch: it forwards each eval set once and reads accuracy,
-the detector metrics and a confidence (Gaussian head) or max-logit (linear
-head) histogram from those scores, each a row of ``SCORERS``. Every forward
-that no backward follows (the initial class means, eval scoring, feature
-export) runs through ``backbone.forward_features``, the cache-free forward in
-row blocks, so its features match the training path's bit for bit.
+outliers (the dual-loader protocol) as one labelled batch, in which each row's
+label picks its branch of the criterion (``row_losses``: label >= 0 is
+in-distribution), and applies one momentum-SGD update, with the global
+gradient norm clipped at the head's ``GRAD_NORM_BOUND``. Every parameter is a
+view of one float64 vector, ``Model.flat``, and ``batch_gradients`` returns
+one gradient vector in the same layout, so the norm, the clip, the momentum
+update and the finiteness check are one array operation each. Training
+reaches the head only through ``heads.forward``/``heads.backward`` and its
+params' fields; only the head's initialisation, the scorer check and the
+histogram scorer depend on its kind. Evaluation runs per epoch: one forward
+scores both eval sets, and accuracy, the detector metrics and a confidence
+(Gaussian head) or max-logit (linear head) histogram are read from those
+scores, each a row of ``SCORERS``. Every forward that no backward follows (the
+initial class means, eval scoring, feature export) runs through
+``backbone.forward_features``, the cache-free forward in row blocks, so its
+features match the training path's bit for bit.
 
 A resolved ``TrainConfig`` is the one place that decides the head kind, the
 scorer and the outlier weight; training, the epoch log and the shift
@@ -266,35 +268,55 @@ def evaluate(
     return metrics.compute_report(s_in, s_out, aupr_positive=aupr_positive)
 
 
+def row_losses(
+    criterion: criteria.CriterionConfig, scores: np.ndarray, labels: np.ndarray, weight: float
+) -> criteria.LossReport:
+    """Per-row values and dL/dscores of a labelled batch, each row on the branch its label picks.
+
+    A row labelled >= 0 takes the criterion's in-distribution term against
+    that label; every other row takes its outlier term, scaled by ``weight``.
+    The rows may come in any order, and each keeps its place in the report.
+    """
+    labels = np.asarray(labels)
+    in_rows = labels >= 0
+    in_rep = criteria.id_loss(criterion, scores[in_rows], labels[in_rows], weight)
+    out_rep = criteria.ood_loss(criterion, scores[~in_rows], weight)
+    value = np.empty(labels.shape)
+    d_scores = np.empty_like(scores)
+    value[in_rows], value[~in_rows] = in_rep.value, out_rep.value
+    d_scores[in_rows], d_scores[~in_rows] = in_rep.d_scores, out_rep.d_scores
+    return criteria.LossReport(value, d_scores)
+
+
 def batch_gradients(
     model: Model,
     criterion: criteria.CriterionConfig,
     weight: float,
-    in_x: np.ndarray,
-    in_y: np.ndarray,
-    out_x: np.ndarray,
+    x: np.ndarray,
+    labels: np.ndarray,
 ) -> tuple[float, float, np.ndarray]:
-    """Branch losses and the gradient of their sum for one dual batch.
+    """Branch losses and the gradient of their sum for one labelled batch.
 
-    Both branches are means over their batch; the same code path serves the
-    training step and the finite-difference audit. The gradient is one 1-D
-    vector laid out as ``model.flat``: each ``param_items`` entry's gradient,
-    raveled row-major, in that order (backbone layers' weight and bias, then
-    the head's fields).
+    Each row's label picks its branch (``row_losses``), and each branch is a
+    mean over its own rows (0.0 when it has none); the same code path serves
+    the training step and the finite-difference audit. The gradient is one
+    1-D vector laid out as ``model.flat``: each ``param_items`` entry's
+    gradient, raveled row-major, in that order (backbone layers' weight and
+    bias, then the head's fields).
     """
-    n_in = in_x.shape[0]
-    n_out = out_x.shape[0]
-    x = np.vstack([in_x, out_x]) if n_out else np.asarray(in_x, dtype=float)
+    in_rows = np.asarray(labels) >= 0
+    n_in = int(in_rows.sum())
+    n_out = in_rows.size - n_in
     # Overflow here shows up as a non-finite loss, which the caller handles;
     # the runtime warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         feats, cache = bb.forward_batch(model.backbone, x)
         scores, head_cache = heads.forward(model.head, feats)
-        in_rep = criteria.id_loss(criterion, scores[:n_in], in_y, weight)
-        out_rep = criteria.ood_loss(criterion, scores[n_in:], weight)
-        upstream = np.concatenate([in_rep.d_scores / n_in, out_rep.d_scores / max(n_out, 1)])
-        loss_in = float(in_rep.value.mean())
-        loss_out = float(out_rep.value.mean()) if n_out else 0.0
+        rep = row_losses(criterion, scores, labels, weight)
+        # Each row's branch holds at least that row, so no divisor is zero.
+        upstream = rep.d_scores / np.where(in_rows, n_in, n_out)[:, None]
+        loss_in = float(rep.value[in_rows].mean()) if n_in else 0.0
+        loss_out = float(rep.value[~in_rows].mean()) if n_out else 0.0
 
         d_feats, head_grads = heads.backward(model.head, head_cache, upstream)
         layer_grads, _ = bb.backward_batch(model.backbone, cache, d_feats)
@@ -332,35 +354,32 @@ def _epoch_log(
     eval_out: LabeledSet,
     step: int,
 ) -> EpochLog:
-    # Each eval set is forwarded once; every per-epoch figure reads these two
-    # score matrices. The forward's row blocks, not the call boundary, decide
-    # the BLAS bits, so they match score_samples on either set.
+    # One forward scores both eval sets, eval_in rows first; every per-epoch
+    # figure reads this score matrix or its slices. A row's scores do not
+    # depend on the rows forwarded with it, so each slice equals
+    # score_samples on its own set bit for bit.
     # The Gaussian head's confidence lies in (0, 1] under any criterion.
     hist_scorer = "ice_conf" if config.head == heads.GaussianHeadParams.KIND else "max_logit"
+    n_in = len(eval_in)
     # As in batch_gradients, overflow surfaces as the NonFiniteState below.
     # Both scorers are checked: ice_conf = exp(max h) stays finite when h is -inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        scores_in = scores_batch(model, eval_in.features)
-        scores_out = scores_batch(model, eval_out.features)
-        conf_in, conf_out = SCORERS[hist_scorer](scores_in), SCORERS[hist_scorer](scores_out)
-        if config.scorer == hist_scorer:
-            s_in, s_out = conf_in, conf_out
-        else:
-            s_in, s_out = SCORERS[config.scorer](scores_in), SCORERS[config.scorer](scores_out)
-    combined = np.concatenate([conf_in, conf_out])
-    if not all(np.all(np.isfinite(values)) for values in (combined, s_in, s_out)):
+        scores = scores_batch(model, np.concatenate([eval_in.features, eval_out.features]))
+        conf = SCORERS[hist_scorer](scores)
+        detector = conf if config.scorer == hist_scorer else SCORERS[config.scorer](scores)
+    if not (np.all(np.isfinite(conf)) and np.all(np.isfinite(detector))):
         raise NonFiniteState(f"non-finite eval score after step {step}", step)
-    report = metrics.compute_report(s_in, s_out, aupr_positive=config.aupr_positive)
-    acc = float(np.mean(scores_in.argmax(axis=1) == eval_in.labels))
+    report = metrics.compute_report(detector[:n_in], detector[n_in:], aupr_positive=config.aupr_positive)
+    acc = float(np.mean(scores[:n_in].argmax(axis=1) == eval_in.labels))
     if hist_scorer == "ice_conf":
         value_range = (0.0, 1.0)
     else:
-        lo, hi = float(combined.min()), float(combined.max())
+        lo, hi = float(conf.min()), float(conf.max())
         if lo == hi:
             pad = max(0.5, abs(lo) * 1e-9)
             lo, hi = lo - pad, hi + pad
         value_range = (lo, hi)
-    hist = metrics.histogram(combined, config.hist_bins, value_range)
+    hist = metrics.histogram(conf, config.hist_bins, value_range)
     return EpochLog(
         epoch=epoch,
         loss_in=loss_in,
@@ -369,8 +388,8 @@ def _epoch_log(
         report=report,
         hist_edges=hist.edges,
         hist_counts=hist.counts,
-        conf_mean_in=float(conf_in.mean()),
-        conf_mean_out=float(conf_out.mean()),
+        conf_mean_in=float(conf[:n_in].mean()),
+        conf_mean_out=float(conf[n_in:].mean()),
     )
 
 
@@ -394,8 +413,9 @@ def train(
 
     Raises:
         ConfigError: the data cannot support the run (an empty set, fewer
-            than two classes, no outliers for an outlier criterion, or
-            initial class feature means that overflow).
+            than two classes, no outliers for an outlier criterion, a
+            train_in row without a class label or a train_out row with one,
+            or initial class feature means that overflow).
         NonFiniteState: training is aborted the first time a batch loss, a
             parameter or an epoch's eval score is not finite (the expected
             failure mode of the unbounded energy objective at large gamma);
@@ -411,6 +431,8 @@ def train(
     use_out = config.criterion.has_outlier_term() and weight > 0.0
     if use_out and len(train_out) == 0:
         raise ConfigError(f"criterion {config.criterion.kind!r} needs outlier training data")
+    if not np.all(train_in.in_mask()) or np.any(train_out.in_mask()):
+        raise ConfigError("every train_in row needs a class label and no train_out row may have one")
     model = build_model(config, train_in)
     bound = model.head.GRAD_NORM_BOUND
     velocity = np.zeros_like(model.flat)
@@ -421,7 +443,11 @@ def train(
     n_in = len(train_in)
     steps_per_epoch = math.ceil(n_in / config.batch_in)
     total_steps = config.epochs * steps_per_epoch
-    empty_out = np.zeros((0, train_in.dim))
+    # One labelled pool, the train_in rows then any train_out rows; each batch
+    # indexes it, and each row's label picks its branch.
+    pool = (train_in, train_out) if use_out else (train_in,)
+    pool_x = np.concatenate([part.features for part in pool])
+    pool_y = np.concatenate([part.labels for part in pool])
 
     logs: list[EpochLog] = []
     global_step = 0
@@ -430,11 +456,10 @@ def train(
         epoch_loss_in = 0.0
         epoch_loss_out = 0.0
         for start in range(0, n_in, config.batch_in):
-            chunk = perm[start : start + config.batch_in]
-            batch_x = train_in.features[chunk]
-            batch_y = train_in.labels[chunk]
-            out_x = train_out.features[cycler.take(config.batch_out)] if use_out else empty_out
-            loss_in, loss_out, grad = batch_gradients(model, config.criterion, weight, batch_x, batch_y, out_x)
+            rows = perm[start : start + config.batch_in]
+            if use_out:
+                rows = np.concatenate([rows, n_in + cycler.take(config.batch_out)])
+            loss_in, loss_out, grad = batch_gradients(model, config.criterion, weight, pool_x[rows], pool_y[rows])
             if not math.isfinite(loss_in + loss_out):
                 raise NonFiniteState(f"non-finite loss at step {global_step}", global_step)
             grad_norm = math.sqrt(float(np.vdot(grad, grad)))

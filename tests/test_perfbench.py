@@ -39,12 +39,14 @@ def test_benchmark_selftest_passes():
 
 
 def test_per_layer_kernels_stay_traced():
-    # heads.forward_ms, heads.backward_ms and backbone.forward_ms read only
-    # the functions the tracer finds called across modules; a refactor that
-    # stops calling these by module attribute would silently zero them.
+    # heads.forward_ms, heads.backward_ms, backbone.forward_ms and the
+    # criteria.* metrics read only the functions the tracer finds called
+    # across modules; a refactor that stops calling these by module attribute
+    # would silently zero them.
     tracing = load_harness_module("tracing")
     calls = tracing.cross_module_calls(os.path.join(ROOT, "src"))
-    assert {("heads", "forward"), ("heads", "backward"), ("backbone", "forward_batch")} <= calls
+    kernels = {("heads", "forward"), ("heads", "backward"), ("backbone", "forward_batch")}
+    assert kernels | {("criteria", "id_loss"), ("criteria", "ood_loss")} <= calls
 
 
 TINY_INI = """

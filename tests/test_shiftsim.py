@@ -182,6 +182,16 @@ class TestRunShiftSim:
                 nearest = model.means[int(np.argmin(mahal))]
                 assert float(delta[row] @ (nearest - before[row])) < 0
 
+    @pytest.mark.parametrize("kind", criteria.KINDS)
+    def test_rows_follow_labels_not_positions(self, kind):
+        # A row's label picks its branch, so permuting the bank permutes every snapshot.
+        bank = default_bank(n_in=30, n_out=15)
+        model = gda.fit_gda(bank)
+        order = np.random.default_rng(3).permutation(len(bank))
+        traj = shiftsim.run_shift_sim(shift_config(kind), bank, model, steps=10, lr=0.05, zeta=ZETA)
+        permuted = shiftsim.run_shift_sim(shift_config(kind), bank.subset(order), model, steps=10, lr=0.05, zeta=ZETA)
+        np.testing.assert_allclose(permuted.snapshots, traj.snapshots[:, order], rtol=0, atol=1e-12)
+
     def test_deterministic_trajectories(self):
         bank = default_bank(n_in=30, n_out=15)
         model = gda.fit_gda(bank)

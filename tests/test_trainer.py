@@ -191,7 +191,9 @@ class TestGradientAudit:
             data = gda.LabeledSet(in_x, in_y)
             model = trainer.build_model(cfg, data)
             weight = cfg.outlier_weight
-            args = (model, cfg.criterion, weight, in_x, in_y, out_x)
+            x = np.vstack([in_x, out_x])
+            labels = np.concatenate([in_y, np.full(4, gda.NO_LABEL)])
+            args = (model, cfg.criterion, weight, x, labels)
             _, _, grad = trainer.batch_gradients(*args)
             assert grad.shape == model.flat.shape
             analytic, numeric = [], []
@@ -205,6 +207,66 @@ class TestGradientAudit:
                 analytic.append(grad[i])
                 numeric.append((up - down) / 2e-5)
             assert max_rel_error(np.array(analytic), np.array(numeric)) < 1e-4
+
+
+def branch_interleaved(n_in, n_out, rng):
+    """A row order that interleaves the first n_in rows with the rest, each branch in its own order."""
+    slots = rng.permutation(n_in + n_out)
+    order = np.empty(n_in + n_out, dtype=int)
+    order[np.sort(slots[:n_in])] = np.arange(n_in)
+    order[np.sort(slots[n_in:])] = n_in + np.arange(n_out)
+    return order
+
+
+class TestRowLosses:
+    """Each row's label, not its position, picks its branch of the criterion."""
+
+    @staticmethod
+    def scores_for(kind, rng, n):
+        scores = 3.0 * rng.standard_normal((n, 3))
+        return -np.abs(scores) if criteria.CriterionConfig(kind).needs_gaussian_head() else scores
+
+    @pytest.mark.parametrize("kind", criteria.KINDS)
+    @pytest.mark.parametrize("n_in,n_out", [(7, 5), (6, 0), (0, 4)])
+    def test_matches_each_branch_bit_for_bit(self, kind, n_in, n_out):
+        rng = np.random.default_rng(n_in + 10 * n_out)
+        cfg = criteria.CriterionConfig(kind)
+        in_scores, out_scores = self.scores_for(kind, rng, n_in), self.scores_for(kind, rng, n_out)
+        in_y = rng.integers(0, 3, size=n_in)
+        order = branch_interleaved(n_in, n_out, rng)
+        scores = np.concatenate([in_scores, out_scores])[order]
+        labels = np.concatenate([in_y, np.full(n_out, gda.NO_LABEL)])[order]
+        rep = trainer.row_losses(cfg, scores, labels, 0.7)
+        in_rep = criteria.id_loss(cfg, in_scores, in_y, 0.7)
+        out_rep = criteria.ood_loss(cfg, out_scores, 0.7)
+        in_rows = labels >= 0
+        np.testing.assert_array_equal(rep.value[in_rows], in_rep.value)
+        np.testing.assert_array_equal(rep.value[~in_rows], out_rep.value)
+        np.testing.assert_array_equal(rep.d_scores[in_rows], in_rep.d_scores)
+        np.testing.assert_array_equal(rep.d_scores[~in_rows], out_rep.d_scores)
+
+    @pytest.mark.parametrize("kind", criteria.KINDS)
+    def test_batch_gradients_follow_labels_not_positions(self, kind):
+        cfg = quick_config(kind, hidden=(6, 5), feature_dim=4, seed=7)
+        rng = np.random.default_rng(5)
+        x = 2.0 * rng.standard_normal((9, 3))
+        labels = np.concatenate([rng.integers(0, 2, size=5), np.full(4, gda.NO_LABEL)])
+        model = trainer.build_model(cfg, gda.LabeledSet(x[:5], labels[:5]))
+        order = branch_interleaved(5, 4, rng)
+        loss_in, loss_out, grad = trainer.batch_gradients(model, cfg.criterion, cfg.outlier_weight, x, labels)
+        got_in, got_out, got = trainer.batch_gradients(model, cfg.criterion, cfg.outlier_weight, x[order], labels[order])
+        # Each branch keeps its row order, so its mean sums the same values in the same order.
+        assert (got_in, got_out) == (loss_in, loss_out)
+        np.testing.assert_allclose(got, grad, rtol=0, atol=1e-12)
+
+    def test_train_rejects_a_label_that_contradicts_its_set(self):
+        # train pools both sets and lets each row's label pick its branch.
+        train_in, train_out, eval_in, eval_out = small_splits()
+        unlabelled_in = gda.LabeledSet(train_in.features, np.where(np.arange(len(train_in)) == 3, -1, train_in.labels))
+        labelled_out = gda.LabeledSet(train_out.features, np.zeros(len(train_out), dtype=int))
+        for sets in ((unlabelled_in, train_out), (train_in, labelled_out)):
+            with pytest.raises(ConfigError, match="class label"):
+                trainer.train(quick_config("oe", epochs=1), *sets, eval_in, eval_out)
 
 
 class TestEpochLog:
@@ -270,13 +332,14 @@ class TestEpochEval:
     @pytest.mark.parametrize(
         "kind,scorer,expected",
         [
-            ("ice", "ice_conf", {"ice_conf": 2}),
-            ("oe", "max_logit", {"max_logit": 2}),
-            ("oe", "msp", {"max_logit": 2, "msp": 2}),
+            ("ice", "ice_conf", {"ice_conf": 1}),
+            ("oe", "max_logit", {"max_logit": 1}),
+            ("oe", "msp", {"max_logit": 1, "msp": 1}),
         ],
     )
     def test_each_scorer_runs_once_per_eval_set(self, kind, scorer, expected, monkeypatch):
-        # The report scorer's scores are reused when it is also the histogram's.
+        # Both eval sets are scored in one call per scorer per epoch, and the
+        # report scorer's scores are reused when it is also the histogram's.
         calls = []
         for name, func in trainer.SCORERS.items():
             monkeypatch.setitem(trainer.SCORERS, name, lambda scores, name=name, func=func: calls.append(name) or func(scores))
@@ -286,7 +349,7 @@ class TestEpochEval:
 
     def test_whitens_once_per_step(self, monkeypatch):
         # One whitening per SGD step (the head backward reuses the forward's)
-        # plus one per eval set per epoch.
+        # plus one per epoch for the eval forward over both eval sets.
         data = small_splits()
         cfg = quick_config("ice", epochs=2)
         whiten = linalg.whiten
@@ -300,7 +363,7 @@ class TestEpochEval:
         model, _ = trainer.train(cfg, *data)
         assert model.head_kind == "gaussian"
         steps = cfg.epochs * math.ceil(len(data[0]) / cfg.batch_in)
-        assert len(calls) == steps + 2 * cfg.epochs
+        assert len(calls) == steps + cfg.epochs
 
     @pytest.mark.parametrize("kind,scorer", [("plain", "msp"), ("ice", "ice_conf")])
     def test_final_log_matches_evaluate(self, kind, scorer):
