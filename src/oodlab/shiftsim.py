@@ -11,11 +11,15 @@ the criterion and the outlier weight (lambda * gamma) from a resolved
 ``TrainConfig``, so the head and the loss can be varied apart. A trajectory
 is written as two CSV files: every snapshot's features, one snapshot per
 write through ``floatrows.write_csv_rows``, and the per-step population
-statistics.
+statistics. The statistics are computed after the descent, in one
+``shift_stats`` call over every snapshot, and a failure is raised in step
+order: bank statistics that overflow first, then the earlier of a non-finite
+statistic and a non-finite feature, the feature first at the same step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass, fields
 
@@ -34,6 +38,11 @@ from .trainer import TrainConfig, row_losses
 # exhausting memory.
 BANK_DRAW_BUDGET = 256
 
+# Rows that ``shift_stats`` whitens at once: a block is as many whole
+# snapshots as fit, at least one. Whitening a full trajectory at once would
+# hold every snapshot's (rows, classes, dims) residuals in memory together.
+STATS_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class FalseLikelihoodPair:
@@ -49,10 +58,11 @@ class FalseLikelihoodPair:
 
 @dataclass(frozen=True)
 class ShiftStats:
-    """Population summaries of one feature snapshot.
+    """Population summaries of one feature snapshot, or per snapshot of a stack.
 
     Center distances are squared Mahalanobis distances under the frozen model.
-    The out-side fields are NaN when the snapshot holds no outliers.
+    The out-side fields are NaN when the snapshot holds no outliers, and the
+    in-side field when it holds no in-distribution rows.
     """
 
     mean_norm_out: float
@@ -146,28 +156,53 @@ def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, di
     )
 
 
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """Means over the last axis, summed and divided as ``ndarray.mean`` does, without its per-call dispatch."""
+    return np.add.reduce(values, axis=-1, dtype=float) / values.shape[-1]
+
+
 def shift_stats(
     features: np.ndarray, labels: np.ndarray, domain: np.ndarray, model: heads.GaussianHeadParams, zeta: float
 ) -> ShiftStats:
-    """Summaries of one snapshot against the frozen model and threshold.
+    """Summaries of a snapshot, or of a stack of them, against the frozen model and threshold.
 
-    A statistic that overflows comes back as inf or NaN, with no numpy
-    warning; ``run_shift_sim`` reports it.
+    ``features`` is one (n, d) snapshot, which gives float fields, or a stack
+    (..., n, d), which gives fields of shape ``features.shape[:-2]``. The
+    stack is whitened in blocks of whole snapshots holding at most
+    ``STATS_BLOCK_ROWS`` rows (at least one snapshot), and every mean is taken
+    per snapshot, so a snapshot's statistics are bit-identical whether it comes
+    alone or in a stack. A statistic that overflows comes back as inf or NaN,
+    with no numpy warning; ``run_shift_sim`` reports it.
     """
     features = np.asarray(features, dtype=float)
+    lead, (n, dim) = features.shape[:-2], features.shape[-2:]
+    stack = features.reshape(-1, n, dim)
+    classes = model.means.shape[0]
     in_mask = np.asarray(domain) == DOMAIN_IN
-    out_rows = ~in_mask
-    mean_norm_out = mean_nearest_center_out = mean_own_center_in = mixed_fraction = math.nan
+    in_rows, out_rows = np.flatnonzero(in_mask), np.flatnonzero(~in_mask)
+    # each in row's own-class entry in a snapshot's flattened (n * classes) distances
+    own_entries = in_rows * classes + np.asarray(labels)[in_rows]
+    per_block = max(1, STATS_BLOCK_ROWS // max(n, 1))
+    table = np.full((len(fields(ShiftStats)), len(stack)), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_mahal = sq_mahalanobis(model, features)
-        if out_rows.any():
-            mean_norm_out = float(np.linalg.norm(features[out_rows], axis=1).mean())
-            nearest = sq_mahal[out_rows].min(axis=1)
-            mean_nearest_center_out = float(nearest.mean())
-            mixed_fraction = float(np.mean(np.exp(log_density(model, nearest)) > zeta))
-        if in_mask.any():
-            mean_own_center_in = float(sq_mahal[in_mask, np.asarray(labels)[in_mask]].mean())
-    return ShiftStats(mean_norm_out, mean_nearest_center_out, mean_own_center_in, mixed_fraction)
+        for start in range(0, len(stack), per_block):
+            block = stack[start : start + per_block]
+            sq_mahal = sq_mahalanobis(model, block.reshape(-1, dim)).reshape(len(block), n, classes)
+            norm_out, nearest_out, own_in, mixed = table[:, start : start + len(block)]
+            # np.take gathers each snapshot's rows into one contiguous run, so
+            # every per-snapshot mean sums in the order a lone snapshot's does.
+            if out_rows.size:
+                out_feats = np.take(block, out_rows, axis=1)
+                norm_out[:] = _row_means(np.sqrt(np.add.reduce(out_feats * out_feats, axis=-1)))
+                # a fold over the class columns: min over the short last axis is far slower
+                nearest = functools.reduce(np.minimum, np.take(sq_mahal, out_rows, axis=1).transpose(2, 0, 1))
+                nearest_out[:] = _row_means(nearest)
+                mixed[:] = _row_means(np.exp(log_density(model, nearest)) > zeta)
+            if in_rows.size:
+                own_in[:] = _row_means(np.take(sq_mahal.reshape(len(block), -1), own_entries, axis=1))
+    if not lead:
+        return ShiftStats(*table[:, 0].tolist())
+    return ShiftStats(*table.reshape(-1, *lead))
 
 
 def _frozen_head(head_kind: str, model: heads.GaussianHeadParams):
@@ -191,13 +226,17 @@ def run_shift_sim(
     closed-form linear scores, or the model itself as the Gaussian head), and
     the outlier terms are scaled by ``config.outlier_weight``.
     Updates are simultaneous full-batch gradient steps, so the trajectory is
-    deterministic and draws no randomness.
+    deterministic and draws no randomness. The descent runs first and stops
+    at the first step that makes a feature non-finite; then one
+    ``shift_stats`` call computes the statistics of every snapshot written.
 
     Raises:
-        ConfigError: a statistic of the bank itself overflows.
-        NonFiniteState: when a step makes any feature, or a statistic of a
-            side that has rows, non-finite; the unbounded energy objective
-            at large weights and a huge ``lr`` both do.
+        ConfigError: a statistic of the bank itself (snapshot 0) overflows;
+            this wins over any failure of the descent.
+        NonFiniteState: a step makes a statistic of a side that has rows
+            non-finite, or makes any feature non-finite; the earlier step is
+            reported, and at the same step the features. The unbounded
+            energy objective at large weights and a huge ``lr`` both do.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -207,22 +246,10 @@ def run_shift_sim(
     head = _frozen_head(config.head, head_source)
 
     feats = bank.features.copy()
-    in_mask = bank.in_mask()
     labels = bank.labels
     snapshots = np.empty((steps + 1, feats.shape[0], feats.shape[1]))
     snapshots[0] = feats
-    # A side with no rows has NaN statistics by design; any other non-finite
-    # statistic is an overflow. ``filled`` follows the ShiftStats field order.
-    has_in, has_out = in_mask.any(), not in_mask.all()
-    filled = (has_out, has_out, has_in, has_out)
-
-    def finite(st: ShiftStats) -> bool:
-        return all(math.isfinite(v) for v, has_rows in zip(astuple(st), filled) if has_rows)
-
-    stats = [shift_stats(feats, labels, bank.domain, head_source, zeta)]
-    if not finite(stats[0]):
-        raise ConfigError("shift bank statistics overflow the float range")
-
+    failed_step = None
     for step in range(steps):
         # Overflow is reported through NonFiniteState, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -231,12 +258,27 @@ def run_shift_sim(
             d_feats, _ = heads.backward(head, head_cache, upstream)
             feats = feats - lr * d_feats
         if not np.all(np.isfinite(feats)):
-            raise NonFiniteState(f"non-finite feature state at step {step}", step)
+            failed_step = step
+            break
         snapshots[step + 1] = feats
-        stats.append(shift_stats(feats, labels, bank.domain, head_source, zeta))
-        if not finite(stats[-1]):
-            raise NonFiniteState(f"non-finite shift statistics at step {step}", step)
 
+    # The statistics of every snapshot written, in one call. A side with no
+    # rows has NaN statistics by design; any other non-finite statistic is an
+    # overflow. ``filled`` follows the ShiftStats field order.
+    written = steps + 1 if failed_step is None else failed_step + 1
+    columns = np.array(astuple(shift_stats(snapshots[:written], labels, bank.domain, head_source, zeta)))
+    in_mask = bank.in_mask()
+    has_in, has_out = in_mask.any(), not in_mask.all()
+    filled = np.array([has_out, has_out, has_in, has_out])
+    finite = np.isfinite(columns[filled]).all(axis=0)
+    if not finite[0]:
+        raise ConfigError("shift bank statistics overflow the float range")
+    if not finite.all():
+        step = int(np.argmin(finite)) - 1
+        raise NonFiniteState(f"non-finite shift statistics at step {step}", step)
+    if failed_step is not None:
+        raise NonFiniteState(f"non-finite feature state at step {failed_step}", failed_step)
+    stats = [ShiftStats(*row) for row in columns.T.tolist()]
     return ShiftTrajectory(snapshots=snapshots, domain=bank.domain, stats=stats)
 
 

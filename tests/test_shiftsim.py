@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from oodlab import criteria, gda, heads, linalg, shiftsim, trainer
-from oodlab.errors import ConfigError
+from oodlab.errors import ConfigError, NonFiniteState
 from oracles import density_at_radius, tied_cov
 
 ZETA = density_at_radius(2.5)
@@ -114,6 +116,41 @@ class TestShiftStats:
         )
         assert stats.mean_own_center_in == 0.0
 
+    @staticmethod
+    def drift(pick_rows):
+        """Seven snapshots of an ICE descent on the rows ``pick_rows`` picks of a 40 + 40 bank, and the frozen model."""
+        bank = default_bank(n_in=40, n_out=40)
+        model = gda.fit_gda(bank)
+        traj = shiftsim.run_shift_sim(shift_config("ice"), bank, model, steps=6, lr=0.05, zeta=ZETA)
+        rows = pick_rows(bank)
+        return traj.snapshots[:, rows], bank.labels[rows], bank.domain[rows], model
+
+    @pytest.mark.parametrize(
+        "pick_rows",
+        [
+            lambda bank: np.arange(len(bank)),
+            lambda bank: np.nonzero(bank.in_mask())[0],
+            lambda bank: np.nonzero(~bank.in_mask())[0],
+            lambda bank: np.random.default_rng(5).permutation(len(bank)),
+        ],
+        ids=["mixed", "no_out_rows", "no_in_rows", "permuted"],
+    )
+    @pytest.mark.parametrize("snapshots_per_block", [None, 1, 2], ids=["default", "one", "uneven"])
+    def test_stack_is_bit_identical_to_single_snapshots(self, monkeypatch, pick_rows, snapshots_per_block):
+        snapshots, labels, domain, model = self.drift(pick_rows)
+        if snapshots_per_block is not None:
+            # one row short of a further snapshot: 7 snapshots split 2, 2, 2, 1
+            monkeypatch.setattr(shiftsim, "STATS_BLOCK_ROWS", (snapshots_per_block + 1) * snapshots.shape[1] - 1)
+        stack = shiftsim.shift_stats(snapshots, labels, domain, model, ZETA)
+        nested = shiftsim.shift_stats(snapshots.reshape(7, 1, *snapshots.shape[1:]), labels, domain, model, ZETA)
+        singles = [shiftsim.shift_stats(snapshot, labels, domain, model, ZETA) for snapshot in snapshots]
+        for field in ("mean_norm_out", "mean_nearest_center_out", "mean_own_center_in", "mixed_fraction"):
+            alone = [getattr(st, field) for st in singles]
+            assert all(type(value) is float for value in alone)
+            want = np.array(alone).view(np.int64)
+            np.testing.assert_array_equal(np.asarray(getattr(stack, field)).view(np.int64), want)
+            np.testing.assert_array_equal(np.asarray(getattr(nested, field)).view(np.int64), want[:, None])
+
 
 class TestRunShiftSim:
     def test_lr_zero_freezes_features(self):
@@ -140,15 +177,39 @@ class TestRunShiftSim:
         return len(calls)
 
     def test_gaussian_head_whitens_once_per_step(self, monkeypatch):
-        # Per step: one whitening in the head (its backward reuses the
-        # forward's) and one in shift_stats, plus shift_stats of the start.
-        assert self.whiten_calls(monkeypatch, shift_config("ice")) == 2 * 10 + 1
+        # One whitening per step in the head (its backward reuses the
+        # forward's), plus one per statistics block: the 11 snapshots of 30
+        # rows fit one block, or make 6 blocks of at most 2 snapshots.
+        assert self.whiten_calls(monkeypatch, shift_config("ice")) == 10 + 1
+        monkeypatch.setattr(shiftsim, "STATS_BLOCK_ROWS", 2 * 30 + 1)
+        assert self.whiten_calls(monkeypatch, shift_config("ice")) == 10 + 6
 
-    @pytest.mark.parametrize("head,per_step", [("auto", 1), ("gaussian", 2)])
-    def test_head_kind_comes_from_the_config(self, monkeypatch, head, per_step):
+    @pytest.mark.parametrize("head,one_step", [("auto", 1), ("gaussian", 2)])
+    def test_head_kind_comes_from_the_config(self, monkeypatch, head, one_step):
         # energy resolves to the linear head, whose forward whitens nothing;
-        # asked for the Gaussian head, the simulation freezes that one instead
-        assert self.whiten_calls(monkeypatch, shift_config("energy", head=head)) == per_step * 10 + 1
+        # asked for the Gaussian head, the simulation freezes that one instead.
+        # ``one_step`` counts a one-step simulation: the head's whitenings of
+        # its step plus the one statistics block; each further step adds the
+        # head's share only.
+        config = shift_config("energy", head=head)
+        assert self.whiten_calls(monkeypatch, config, steps=1) == one_step
+        assert self.whiten_calls(monkeypatch, config) == 10 * (one_step - 1) + 1
+
+    def test_statistics_run_once_through_the_module_attribute(self, monkeypatch):
+        # perfbench times shiftsim.shift_stats by rebinding the module
+        # attribute, so the simulation must look it up there, once.
+        bank = default_bank(n_in=20, n_out=10)
+        model = gda.fit_gda(bank)
+        stats = shiftsim.shift_stats
+        calls = []
+
+        def counting(features, *args):
+            calls.append(np.shape(features))
+            return stats(features, *args)
+
+        monkeypatch.setattr(shiftsim, "shift_stats", counting)
+        shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=7, lr=0.05, zeta=ZETA)
+        assert calls == [(8, 30, 2)]
 
     def test_oe_contracts_outlier_norms(self):
         bank = default_bank()
@@ -216,6 +277,52 @@ class TestRunShiftSim:
         model = gda.fit_gda(bank)
         with pytest.raises(ValueError):
             shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=0, lr=0.1, zeta=ZETA)
+
+    @staticmethod
+    def kicked(monkeypatch, kicks, bank=None):
+        """A simulation under a stub criterion: at step t every row's class-0 dL/dscore is ``kicks.get(t, 0)``.
+
+        The frozen head is the linear one, so a kick c moves each row by
+        -c * w_hat[0]; 1e200 leaves the features finite but overflows their
+        squared distances, and inf makes them non-finite.
+        """
+        bank = bank or default_bank(n_in=20, n_out=10)
+        model = gda.fit_gda(default_bank(n_in=20, n_out=10))
+        steps_seen = []
+
+        def stub(criterion, scores, labels, weight):
+            d_scores = np.zeros_like(scores)
+            d_scores[:, 0] = kicks.get(len(steps_seen), 0.0)
+            steps_seen.append(1)
+            return criteria.LossReport(np.zeros(len(labels)), d_scores)
+
+        monkeypatch.setattr(shiftsim, "row_losses", stub)
+        return shiftsim.run_shift_sim(shift_config("oe"), bank, model, steps=6, lr=1.0, zeta=ZETA)
+
+    def test_bank_overflow_is_a_config_error_before_any_step(self, monkeypatch):
+        bank = default_bank(n_in=20, n_out=10)
+        features = bank.features.copy()
+        features[-1] = [1e200, 0.0]
+        huge = gda.LabeledSet(features, bank.labels)
+        # step 0 would also make every feature non-finite
+        with pytest.raises(ConfigError, match="^shift bank statistics overflow the float range$"):
+            self.kicked(monkeypatch, {0: math.inf}, bank=huge)
+
+    @pytest.mark.parametrize(
+        "kicks,step,what",
+        [
+            ({3: 1e200}, 3, "shift statistics"),
+            ({4: math.inf}, 4, "feature state"),
+            ({2: 1e200, 4: math.inf}, 2, "shift statistics"),
+            ({3: np.r_[math.inf, np.full(29, 1e200)]}, 3, "feature state"),
+        ],
+        ids=["statistics", "features", "statistics_first", "same_step"],
+    )
+    def test_earliest_failure_is_raised(self, monkeypatch, kicks, step, what):
+        # The earlier step wins; at the same step the features are checked first.
+        with pytest.raises(NonFiniteState, match=f"^non-finite {what} at step {step}$") as raised:
+            self.kicked(monkeypatch, kicks)
+        assert raised.value.step == step
 
 
 class TestCsvExports:
