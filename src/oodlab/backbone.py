@@ -6,9 +6,12 @@ holds just its weight and bias and only the batch kernels apply the rule.
 The forward pass returns a cache sufficient for an exact backward pass:
 every layer's input plus the network output, so cache[i + 1] is layer i's
 output. Each layer allocates one array, its matmul output, and adds the bias
-and applies ReLU to it in place. The backward pass reads the ReLU mask off a
-layer's output, since max(pre, 0) > 0 exactly where pre > 0 (NaN included);
-the ReLU subgradient at zero is taken as zero.
+and applies ReLU to it in place. The backward pass writes every parameter
+gradient into arrays the caller provides (the training step passes views of
+one gradient vector), and allocates only its ``d_pre @ W`` products and their
+masks. It reads the ReLU mask off a layer's output, since max(pre, 0) > 0
+exactly where pre > 0 (NaN included); the ReLU subgradient at zero is taken
+as zero.
 
 A forward that no backward follows (class means, eval scoring, feature
 export) goes through ``forward_features`` instead: it keeps no cache and runs
@@ -128,17 +131,22 @@ def _layer_forward(layer: Layer, inp: np.ndarray, relu: bool, out: np.ndarray | 
 
 
 def backward_batch(
-    params: MlpParams, cache: list[np.ndarray], d_out: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact gradients for a batch; returns per-layer (d_weight, d_bias) and d_x."""
-    d_cur = np.asarray(d_out, dtype=float)
-    last = len(params.layers) - 1
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
-    for idx in range(last, -1, -1):
-        layer = params.layers[idx]
-        inp, out = cache[idx], cache[idx + 1]
-        d_pre = d_cur * (out > 0.0) if idx < last else d_cur
-        grads[idx] = (d_pre.T @ inp, d_pre.sum(axis=0))
-        d_cur = d_pre @ layer.weight
-    return grads, d_cur
+    params: MlpParams, cache: list[np.ndarray], d_out: np.ndarray, grads: list[np.ndarray]
+) -> np.ndarray:
+    """Exact gradients for a batch, written into ``grads``; returns d_x.
 
+    ``grads`` holds one array per parameter, shaped as it and in the order
+    ``Model.flat`` lays them out: layer 0's d_weight and d_bias, then layer
+    1's, and so on. Each is overwritten, d_weight by its matmul and d_bias by
+    its row sum, with no intermediate copy. ``d_out`` is only read; the ReLU
+    mask multiplies this function's own ``d_pre @ W`` arrays in place.
+    """
+    d_pre = np.asarray(d_out, dtype=float)
+    for idx in range(len(params.layers) - 1, -1, -1):
+        np.matmul(d_pre.T, cache[idx], out=grads[2 * idx])
+        np.add.reduce(d_pre, axis=0, out=grads[2 * idx + 1])
+        d_pre = d_pre @ params.layers[idx].weight
+        if idx:
+            # the mask of layer idx - 1's ReLU, read off its output
+            d_pre *= cache[idx] > 0.0
+    return d_pre

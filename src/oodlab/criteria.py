@@ -9,8 +9,10 @@ weight, whether it needs the Gaussian head, its in-distribution term and its
 outlier term, which id_loss and ood_loss call. They take the weight as an
 argument: the caller passes ``TrainConfig.outlier_weight`` (lambda * gamma),
 the one place it is formed. Their one caller outside this module is
-``trainer.row_losses``, which puts each row of a labelled batch on one of the
-two terms by its label, for the training step and the shift simulation alike.
+``trainer.row_losses``, which gives the leading rows of an in-first labelled
+batch (labelled >= 0) the first term and the outlier rows after them the
+second, for the training step and the shift simulation alike. Every maximum
+over the class axis goes through ``linalg.row_max``.
 
 Sign conventions worth keeping in mind:
   - sce pushes the ground-truth score up and every other score down;
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from . import linalg
 
 ICE_OOD_EPS = 1e-12
 _LN2 = math.log(2.0)
@@ -112,7 +116,7 @@ def oe_uniform(scores: np.ndarray) -> LossReport:
 def energy(scores: np.ndarray) -> LossReport:
     """logsumexp of the scores; its gradient is the softmax, strictly positive."""
     scores = np.asarray(scores, dtype=float)
-    top = scores.max(axis=-1, keepdims=True)
+    top = linalg.row_max(scores)[..., None]
     expd = np.exp(scores - top)
     total = expd.sum(axis=-1, keepdims=True)
     return LossReport((top + np.log(total))[..., 0], expd / total)
@@ -134,7 +138,7 @@ def ice_ood(h: np.ndarray) -> LossReport:
     """
     h = _check_nonpositive(h)
     top = np.arange(h.shape[-1]) == np.argmax(h, axis=-1)[..., None]
-    h_star = h.max(axis=-1)
+    h_star = linalg.row_max(h)
     denom = np.maximum(-np.expm1(h_star), ICE_OOD_EPS)  # exact 1 - exp(h*), floored
     # log(1 - exp(h*)) split at -ln 2 for relative accuracy; the far branch is
     # evaluated at min(h*, -ln 2) so rows on the near side never reach log1p(-1).

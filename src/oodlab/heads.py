@@ -162,4 +162,4 @@ def ice_confidence(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if np.any(h > 0):
         raise ValueError("confidence needs non-positive scores")
-    return np.exp(h.max(axis=-1))
+    return np.exp(linalg.row_max(h))

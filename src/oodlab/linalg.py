@@ -1,4 +1,4 @@
-"""Minimal dense linear algebra: Cholesky, the factor inverse, and the whitening kernel.
+"""Minimal dense linear algebra: Cholesky, the factor inverse, the whitening kernel and the row maximum.
 
 Everything is float64 and desk-scale (d up to ~128), so the factorization is
 unblocked and the inverse is plain substitution. ``cholesky`` returns a full
@@ -7,7 +7,8 @@ positive diagonal. The inverse and the whitening kernel read a factor L in
 its raw form instead: a (d, d) array whose strictly lower entries are L's and
 whose diagonal holds the logs of L's diagonal, as ``heads.GaussianHeadParams``
 stores it. Every Mahalanobis distance goes through ``whiten``, which inverts
-the factor once and maps all residuals with one matmul.
+the factor once and maps all residuals with one matmul. ``row_max`` is the
+one maximum over the short class axis of head scores.
 """
 
 from __future__ import annotations
@@ -77,3 +78,18 @@ def whiten(tri_raw: np.ndarray, centers: np.ndarray, z: np.ndarray) -> tuple[np.
     diff = np.asarray(z, dtype=float)[:, None, :] - np.asarray(centers, dtype=float)[None, :, :]
     b, k, d = diff.shape
     return (diff.reshape(b * k, d) @ inverse.T).reshape(b, k, d), inverse
+
+
+def row_max(values: np.ndarray) -> np.ndarray:
+    """``values.max(axis=-1)`` bit for bit, as a fold over the last axis's columns.
+
+    Column 0 is copied and every further column is folded in with
+    ``np.maximum`` in place, which propagates NaN and keeps ties exactly as
+    the reduction does. On the few class columns of a score matrix this is
+    several times faster than ``max`` over the short last axis. A 1-D
+    ``values`` gives a 0-d array.
+    """
+    out = values[..., 0].copy()
+    for col in range(1, values.shape[-1]):
+        np.maximum(out, values[..., col], out=out)
+    return out

@@ -6,7 +6,9 @@ the other. The second treats the feature vectors themselves as the trainable
 parameters, freezes a head at the fitted Gaussian model, and descends each
 feature on the branch of a criterion that its label picks
 (``trainer.row_losses``, as in training), recording how the in- and
-out-of-distribution populations move. Like training, it takes the head kind,
+out-of-distribution populations move. As a training batch does, the bank
+holds its in-distribution rows first and its outliers after them, the order
+``make_shift_bank`` draws. Like training, it takes the head kind,
 the criterion and the outlier weight (lambda * gamma) from a resolved
 ``TrainConfig``, so the head and the loss can be varied apart. A trajectory
 is written as two CSV files: every snapshot's features, one snapshot per
@@ -29,7 +31,7 @@ from . import heads
 from .errors import ConfigError, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows, write_csv_table
 from .gda import DOMAIN_IN, LabeledSet, closed_form_discriminant, log_density, sample_synthetic, sq_mahalanobis
-from .trainer import TrainConfig, row_losses
+from .trainer import TrainConfig, in_first_count, row_losses
 
 
 # Rows that all shift-bank draws together may use, per requested row. Redraws
@@ -126,7 +128,7 @@ def find_false_likelihood_pair(
 
 
 def make_shift_bank(mu: float, zeta: float, n_in: int, n_out: int, seed: int, dims: int = 2) -> LabeledSet:
-    """A feature bank with exactly n_in in-tagged and n_out out-tagged samples.
+    """A feature bank with exactly n_in in-tagged and n_out out-tagged samples, the in-tagged first.
 
     Draws through the alternating two-cluster sampler and keeps the first
     n_in / n_out of each tag, redrawing at twice the size as needed.
@@ -231,6 +233,8 @@ def run_shift_sim(
     ``shift_stats`` call computes the statistics of every snapshot written.
 
     Raises:
+        ValueError: a bank row labelled >= 0 follows an outlier row; the bank
+            is checked once, before the descent.
         ConfigError: a statistic of the bank itself (snapshot 0) overflows;
             this wins over any failure of the descent.
         NonFiniteState: a step makes a statistic of a side that has rows
@@ -242,6 +246,7 @@ def run_shift_sim(
         raise ValueError("steps must be >= 1")
     if lr < 0:
         raise ValueError("lr must be >= 0")
+    in_first_count(bank.labels)
     criterion, weight = config.criterion, config.outlier_weight
     head = _frozen_head(config.head, head_source)
 

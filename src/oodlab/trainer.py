@@ -1,19 +1,22 @@
 """Desk-scale training: SGD with momentum over backbone + head under any criterion.
 
 Each step draws a batch of in-distribution samples and an independent batch of
-outliers (the dual-loader protocol) as one labelled batch, in which each row's
-label picks its branch of the criterion (``row_losses``: label >= 0 is
-in-distribution), and applies one momentum-SGD update, with the global
+outliers (the dual-loader protocol) as one in-first labelled batch: its rows
+labelled >= 0 lead and take the criterion's in-distribution branch, and the
+outliers after them take its outlier branch, so each branch is one slice
+(``row_losses``). It applies one momentum-SGD update, with the global
 gradient norm clipped at the head's ``GRAD_NORM_BOUND``. Every parameter is a
 view of one float64 vector, ``Model.flat``, and ``batch_gradients`` returns
-one gradient vector in the same layout, so the norm, the clip, the momentum
+one fresh gradient vector in the same layout (``Model.views``), into whose
+views the backbone's backward writes, so the norm, the clip, the momentum
 update and the finiteness check are one array operation each. Training
 reaches the head only through ``heads.forward``/``heads.backward`` and its
 params' fields; only the head's initialisation, the scorer check and the
 histogram scorer depend on its kind. Evaluation runs per epoch: one forward
 scores both eval sets, and accuracy, the detector metrics and a confidence
 (Gaussian head) or max-logit (linear head) histogram are read from those
-scores, each a row of ``SCORERS``. Every forward that no backward follows (the
+scores, each a row of ``SCORERS``; a histogram has at most one bin per eval
+score. Every forward that no backward follows (the
 initial class means, eval scoring, feature export) runs through
 ``backbone.forward_features``, the cache-free forward in row blocks, so its
 features match the training path's bit for bit.
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backbone as bb
-from . import criteria, heads, metrics
+from . import criteria, heads, linalg, metrics
 from .errors import ConfigError, MalformedData, NonFiniteState
 from .floatrows import float_rows
 from .gda import DOMAIN_IN, DOMAIN_OUT, LabeledSet
@@ -45,8 +48,8 @@ SCHEDULES = ("cosine", "stairwise")
 # One detector value per row of (N, K) head scores, higher meaning more in-distribution (msp: largest
 # softmax mass, energy_score: logsumexp). Kernels are called through their module, as perfbench traces.
 SCORERS = {
-    "msp": lambda scores: criteria.energy(scores).d_scores.max(axis=1),
-    "max_logit": lambda scores: scores.max(axis=1),
+    "msp": lambda scores: linalg.row_max(criteria.energy(scores).d_scores),
+    "max_logit": lambda scores: linalg.row_max(scores),
     "energy_score": lambda scores: criteria.energy(scores).value,
     "ice_conf": lambda scores: heads.ice_confidence(scores),
 }
@@ -128,23 +131,34 @@ class Model:
     """Backbone and head whose parameters are views of one float64 buffer.
 
     Construction copies every parameter into ``flat``, laid out in
-    ``param_items`` order, and rebinds each field to its slice. An in-place
-    update of ``flat`` moves every weight, and the gradient vector of
+    ``param_items`` order, and rebinds each field to its view (``views``). An
+    in-place update of ``flat`` moves every weight, and the gradient vector of
     ``batch_gradients`` lines up with it index for index.
     """
 
     backbone: bb.MlpParams
     head: heads.LinearHeadParams | heads.GaussianHeadParams
     flat: np.ndarray = dataclasses.field(init=False, repr=False)
+    # (start, stop, shape) of each parameter in ``flat``, in param_items order
+    _layout: list[tuple[int, int, tuple[int, ...]]] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         slots = _param_slots(self)
-        self.flat = np.concatenate([np.ravel(getattr(owner, attr)) for _, owner, attr in slots])
-        offset = 0
-        for _, owner, attr in slots:
-            arr = getattr(owner, attr)
-            setattr(owner, attr, self.flat[offset : offset + arr.size].reshape(arr.shape))
-            offset += arr.size
+        arrays = [getattr(owner, attr) for _, owner, attr in slots]
+        stops = np.cumsum([arr.size for arr in arrays]).tolist()
+        self._layout = [(stop - arr.size, stop, arr.shape) for arr, stop in zip(arrays, stops)]
+        self.flat = np.concatenate([np.ravel(arr) for arr in arrays])
+        for (_, owner, attr), view in zip(slots, self.views(self.flat)):
+            setattr(owner, attr, view)
+
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out as ``flat``, one per parameter, shaped and ordered as ``param_items``.
+
+        The one definition of the layout: construction binds each parameter to
+        its view of ``flat``, and ``batch_gradients`` writes each gradient
+        into its view of the gradient vector.
+        """
+        return [vector[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @property
     def head_kind(self) -> str:
@@ -268,24 +282,34 @@ def evaluate(
     return metrics.compute_report(s_in, s_out, aupr_positive=aupr_positive)
 
 
+def in_first_count(labels: np.ndarray) -> int:
+    """Rows of a labelled batch on the in-distribution branch: those labelled >= 0, which lead it.
+
+    Raises:
+        ValueError: a row labelled >= 0 follows an outlier row.
+    """
+    in_rows = np.asarray(labels) >= 0
+    n_in = int(np.count_nonzero(in_rows))
+    if np.count_nonzero(in_rows[:n_in]) != n_in:
+        raise ValueError("a labelled batch must hold its rows labelled >= 0 first, then its outliers")
+    return n_in
+
+
 def row_losses(
     criterion: criteria.CriterionConfig, scores: np.ndarray, labels: np.ndarray, weight: float
 ) -> criteria.LossReport:
-    """Per-row values and dL/dscores of a labelled batch, each row on the branch its label picks.
+    """Per-row values and dL/dscores of an in-first labelled batch, each row on its label's branch.
 
-    A row labelled >= 0 takes the criterion's in-distribution term against
-    that label; every other row takes its outlier term, scaled by ``weight``.
-    The rows may come in any order, and each keeps its place in the report.
+    The rows labelled >= 0 come first (``in_first_count``) and take the
+    criterion's in-distribution term against their labels; the rows after
+    them take its outlier term, scaled by ``weight``. Each branch is one slice
+    of the batch, and each row keeps its place in the report's new arrays.
     """
-    labels = np.asarray(labels)
-    in_rows = labels >= 0
-    in_rep = criteria.id_loss(criterion, scores[in_rows], labels[in_rows], weight)
-    out_rep = criteria.ood_loss(criterion, scores[~in_rows], weight)
-    value = np.empty(labels.shape)
-    d_scores = np.empty_like(scores)
-    value[in_rows], value[~in_rows] = in_rep.value, out_rep.value
-    d_scores[in_rows], d_scores[~in_rows] = in_rep.d_scores, out_rep.d_scores
-    return criteria.LossReport(value, d_scores)
+    n_in = in_first_count(labels)
+    in_rep = criteria.id_loss(criterion, scores[:n_in], labels[:n_in], weight)
+    out_rep = criteria.ood_loss(criterion, scores[n_in:], weight)
+    value = np.concatenate([in_rep.value, out_rep.value])
+    return criteria.LossReport(value, np.concatenate([in_rep.d_scores, out_rep.d_scores]))
 
 
 def batch_gradients(
@@ -295,34 +319,39 @@ def batch_gradients(
     x: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, float, np.ndarray]:
-    """Branch losses and the gradient of their sum for one labelled batch.
+    """Branch losses and the gradient of their sum for one in-first labelled batch.
 
-    Each row's label picks its branch (``row_losses``), and each branch is a
-    mean over its own rows (0.0 when it has none); the same code path serves
-    the training step and the finite-difference audit. The gradient is one
-    1-D vector laid out as ``model.flat``: each ``param_items`` entry's
-    gradient, raveled row-major, in that order (backbone layers' weight and
-    bias, then the head's fields).
+    The rows labelled >= 0 come first and the outliers after them
+    (``row_losses``), and each branch is a mean over its own slice (0.0 when
+    it is empty); the same code path serves the training step and the
+    finite-difference audit. The gradient is a new 1-D vector laid out as
+    ``model.flat``: the backbone's backward writes each layer's weight and
+    bias gradient straight into its view, and the head's field gradients are
+    copied into theirs.
     """
-    in_rows = np.asarray(labels) >= 0
-    n_in = int(in_rows.sum())
-    n_out = in_rows.size - n_in
+    n_in = in_first_count(labels)
+    n_out = len(labels) - n_in
+    grad = np.empty_like(model.flat)
+    views = model.views(grad)
+    n_backbone = 2 * len(model.backbone.layers)  # a weight and a bias per layer
     # Overflow here shows up as a non-finite loss, which the caller handles;
     # the runtime warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         feats, cache = bb.forward_batch(model.backbone, x)
         scores, head_cache = heads.forward(model.head, feats)
         rep = row_losses(criterion, scores, labels, weight)
-        # Each row's branch holds at least that row, so no divisor is zero.
-        upstream = rep.d_scores / np.where(in_rows, n_in, n_out)[:, None]
-        loss_in = float(rep.value[in_rows].mean()) if n_in else 0.0
-        loss_out = float(rep.value[~in_rows].mean()) if n_out else 0.0
+        # row_losses builds d_scores afresh, so each branch's slice is scaled in place.
+        upstream = rep.d_scores
+        upstream[:n_in] /= n_in
+        upstream[n_in:] /= n_out
+        loss_in = float(rep.value[:n_in].mean()) if n_in else 0.0
+        loss_out = float(rep.value[n_in:].mean()) if n_out else 0.0
 
         d_feats, head_grads = heads.backward(model.head, head_cache, upstream)
-        layer_grads, _ = bb.backward_batch(model.backbone, cache, d_feats)
-    parts = [grad for pair in layer_grads for grad in pair]
-    parts += [head_grads[field.name] for field in dataclasses.fields(model.head)]
-    return loss_in, loss_out, np.concatenate([np.ravel(grad) for grad in parts])
+        bb.backward_batch(model.backbone, cache, d_feats, views[:n_backbone])
+    for field, view in zip(dataclasses.fields(model.head), views[n_backbone:]):
+        view[...] = head_grads[field.name]
+    return loss_in, loss_out, grad
 
 
 class _OutlierCycler:
@@ -415,7 +444,8 @@ def train(
         ConfigError: the data cannot support the run (an empty set, fewer
             than two classes, no outliers for an outlier criterion, a
             train_in row without a class label or a train_out row with one,
-            or initial class feature means that overflow).
+            more histogram bins than eval scores, or initial class feature
+            means that overflow); raised before the first step.
         NonFiniteState: training is aborted the first time a batch loss, a
             parameter or an epoch's eval score is not finite (the expected
             failure mode of the unbounded energy objective at large gamma);
@@ -424,6 +454,11 @@ def train(
     """
     if len(train_in) == 0 or len(eval_in) == 0 or len(eval_out) == 0:
         raise ConfigError("training and eval sets must be nonempty")
+    n_eval = len(eval_in) + len(eval_out)
+    if config.hist_bins > n_eval:
+        raise ConfigError(
+            f"hist_bins={config.hist_bins} exceeds the {n_eval} eval scores; allow at most one bin per eval score"
+        )
     weight = config.outlier_weight
     # A zero effective weight removes every outlier term from the objective,
     # so the outlier loader is skipped entirely; this makes zero-weight runs

@@ -6,8 +6,12 @@ out with explicit densities. None of it shares code with the package paths it
 checks, except the one-row helpers at the end. ``head_row``,
 ``head_row_backward``, ``mlp_row`` and ``mlp_row_backward`` push a single
 vector through the package's batch kernels, so finite differences can probe
-those kernels one input at a time; ``pre_activations`` recomputes the hidden
-pre-activations from the layer inputs a backbone cache holds.
+those kernels one input at a time (``layer_grad_arrays`` allocates the
+arrays that ``backbone.backward_batch`` fills); ``pre_activations``
+recomputes the hidden pre-activations from the layer inputs a backbone cache
+holds. ``batch_gradients_oracle`` is the training step with boolean-mask
+branches, an allocating backward and concatenated parts, which
+``trainer.batch_gradients`` must match bit for bit.
 ``class_likelihood``, ``posterior`` and ``density_at_radius`` are the
 per-sample Gaussian forms, built on ``gda.sq_mahalanobis``/``gda.log_density``,
 ``gda.closed_form_discriminant`` and ``gda.density_max``, so the
@@ -20,12 +24,13 @@ factor, the path that ``linalg.tri_solve_lower`` must match bit for bit.
 """
 
 import csv
+import dataclasses
 import io
 import math
 
 import numpy as np
 
-from oodlab import backbone, gda, heads
+from oodlab import backbone, criteria, gda, heads
 
 
 def central_difference(f, x, step=1e-5):
@@ -170,10 +175,53 @@ def outlier_take_oracle(n, rng, counts):
     return batches
 
 
+def layer_grad_arrays(net):
+    """Freshly allocated arrays for ``backbone.backward_batch`` to fill: each layer's d_weight, then its d_bias."""
+    return [np.empty_like(param) for layer in net.layers for param in (layer.weight, layer.bias)]
+
+
 def mlp_row_backward(net, cache, d_z):
-    """``backbone.backward_batch`` for a one-row cache: per-layer grads and d_x."""
-    grads, d_x = backbone.backward_batch(net, cache, np.asarray(d_z, dtype=float)[None, :])
-    return grads, d_x[0]
+    """``backbone.backward_batch`` for a one-row cache, into arrays of its own: per-layer (d_weight, d_bias) and d_x."""
+    grads = layer_grad_arrays(net)
+    d_x = backbone.backward_batch(net, cache, np.asarray(d_z, dtype=float)[None, :], grads)
+    return list(zip(grads[::2], grads[1::2])), d_x[0]
+
+
+def batch_gradients_oracle(model, criterion, weight, x, labels):
+    """The training step as it was before in-first batches: ``trainer.batch_gradients``'s reference.
+
+    Boolean masks put each row on its label's branch, in any row order, and
+    scatter the branch reports back; each branch's rows are divided by their
+    count through one per-row divisor; the backbone backward allocates every
+    gradient and masks a copy of its upstream; the parts are concatenated in
+    ``Model.flat`` order. Run it with ``linalg.row_max`` patched to
+    ``max(axis=-1)`` to reproduce the step of that code exactly.
+    """
+    labels = np.asarray(labels)
+    in_rows = labels >= 0
+    n_in = int(in_rows.sum())
+    n_out = in_rows.size - n_in
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats, cache = backbone.forward_batch(model.backbone, x)
+        scores, head_cache = heads.forward(model.head, feats)
+        in_rep = criteria.id_loss(criterion, scores[in_rows], labels[in_rows], weight)
+        out_rep = criteria.ood_loss(criterion, scores[~in_rows], weight)
+        value = np.empty(labels.shape)
+        d_scores = np.empty_like(scores)
+        value[in_rows], value[~in_rows] = in_rep.value, out_rep.value
+        d_scores[in_rows], d_scores[~in_rows] = in_rep.d_scores, out_rep.d_scores
+        upstream = d_scores / np.where(in_rows, n_in, n_out)[:, None]
+        loss_in = float(value[in_rows].mean()) if n_in else 0.0
+        loss_out = float(value[~in_rows].mean()) if n_out else 0.0
+        d_cur, head_grads = heads.backward(model.head, head_cache, upstream)
+        layers = model.backbone.layers
+        parts = []
+        for idx in range(len(layers) - 1, -1, -1):
+            d_pre = d_cur * (cache[idx + 1] > 0.0) if idx < len(layers) - 1 else d_cur
+            parts[:0] = [d_pre.T @ cache[idx], d_pre.sum(axis=0)]
+            d_cur = d_pre @ layers[idx].weight
+    parts += [head_grads[field.name] for field in dataclasses.fields(model.head)]
+    return loss_in, loss_out, np.concatenate([np.ravel(part) for part in parts])
 
 
 def class_likelihood(model, z, i):

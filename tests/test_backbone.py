@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodlab import backbone
-from oracles import central_difference, max_rel_error, mlp_row, mlp_row_backward, pre_activations
+from oracles import central_difference, layer_grad_arrays, max_rel_error, mlp_row, mlp_row_backward, pre_activations
 
 
 def random_net(rng, widths=None):
@@ -154,7 +154,8 @@ class TestBackward:
         z, cache = backbone.forward_batch(net, xs)
         np.testing.assert_array_equal(xs, x_copy)
         cache_copy = [arr.copy() for arr in cache]
-        grads, d_x = backbone.backward_batch(net, cache, d_out)
+        grads = layer_grad_arrays(net)
+        d_x = backbone.backward_batch(net, cache, d_out, grads)
         z_again, cache_again = backbone.forward_batch(net, xs)
         np.testing.assert_array_equal(xs, x_copy)
         np.testing.assert_array_equal(d_out, d_out_copy)
@@ -163,11 +164,11 @@ class TestBackward:
         np.testing.assert_array_equal(z_again, z)
         for again, first in zip(cache_again, cache):
             np.testing.assert_array_equal(again, first)
-        grads_again, d_x_again = backbone.backward_batch(net, cache_again, d_out)
+        grads_again = layer_grad_arrays(net)
+        d_x_again = backbone.backward_batch(net, cache_again, d_out, grads_again)
         np.testing.assert_array_equal(d_x_again, d_x)
-        for (dw, db), (dw_again, db_again) in zip(grads, grads_again):
-            np.testing.assert_array_equal(dw_again, dw)
-            np.testing.assert_array_equal(db_again, db)
+        for again, first in zip(grads_again, grads):
+            np.testing.assert_array_equal(again, first)
 
     def test_identity_layer_passes_gradient(self):
         net = backbone.MlpParams(layers=[backbone.Layer(weight=np.eye(3), bias=np.zeros(3))])

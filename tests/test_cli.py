@@ -275,6 +275,22 @@ class TestDegenerateConfigs:
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+class TestHistBinsBound:
+    @pytest.mark.parametrize("bins", [10**12, 2**62])
+    def test_unallocatable_count_exits_2_before_training(self, tmp_path, capsys, monkeypatch, bins):
+        # Used to train a full epoch, then exit 1 with numpy's allocation traceback.
+        def no_step(*args):
+            raise AssertionError("trained a step before rejecting hist_bins")
+
+        monkeypatch.setattr(trainer, "batch_gradients", no_step)
+        cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}, "output": {"hist_bins": str(bins)}})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: hist_bins={bins} exceeds the ") and "Traceback" not in err
+        assert not (out / "epochs.jsonl").exists()
+
+
 class TestMalformedInputFiles:
     def test_truncated_checkpoint_is_io_error(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}})

@@ -144,3 +144,40 @@ class TestSpdQuadform:
         assert np.all(value >= 0.0)
         # Reflecting both the rows and the centers negates every residual.
         assert sq_mahalanobis(lower, -centers, -z) == pytest.approx(value, rel=1e-12)
+
+
+# Values whose maximum numpy's reduction must and the fold does take the same way:
+# ties, NaN (propagated), both infinities, both zeros and the smallest subnormals.
+SPECIALS = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324, -5e-324])
+
+
+class TestRowMax:
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("lead", [(), (50,), (6, 7)], ids=["1d", "2d", "3d"])
+    def test_equals_numpy_max(self, k, lead):
+        rng = np.random.default_rng(10 * k + len(lead))
+        values = rng.choice(SPECIALS, size=lead + (k,))
+        self.assert_same_bits(linalg.row_max(values), values.max(axis=-1))
+        # Rows drawn from three values tie far more often.
+        ties = rng.choice(SPECIALS[:3], size=lead + (k,))
+        self.assert_same_bits(linalg.row_max(ties), ties.max(axis=-1))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_special_pair_and_triple(self, k):
+        grids = np.meshgrid(*[SPECIALS] * k, indexing="ij")
+        values = np.stack([g.ravel() for g in grids], axis=-1)
+        self.assert_same_bits(linalg.row_max(values), values.max(axis=-1))
+        self.assert_same_bits(linalg.row_max(values[:, ::-1]), values[:, ::-1].max(axis=-1))
+
+    def test_input_left_unchanged(self):
+        values = np.array([[1.0, 3.0], [-0.0, 0.0]])
+        before = values.copy()
+        linalg.row_max(values)
+        np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))

@@ -244,14 +244,24 @@ class TestRunShiftSim:
                 assert float(delta[row] @ (nearest - before[row])) < 0
 
     @pytest.mark.parametrize("kind", criteria.KINDS)
-    def test_rows_follow_labels_not_positions(self, kind):
-        # A row's label picks its branch, so permuting the bank permutes every snapshot.
+    def test_rows_follow_labels_not_positions(self, kind, monkeypatch):
+        # Rows shuffled within their branch are shuffled in every snapshot; a
+        # bank with a row labelled >= 0 after an outlier is refused before any step.
         bank = default_bank(n_in=30, n_out=15)
         model = gda.fit_gda(bank)
-        order = np.random.default_rng(3).permutation(len(bank))
+        rng = np.random.default_rng(3)
+        order = np.concatenate([rng.permutation(30), 30 + rng.permutation(15)])
         traj = shiftsim.run_shift_sim(shift_config(kind), bank, model, steps=10, lr=0.05, zeta=ZETA)
         permuted = shiftsim.run_shift_sim(shift_config(kind), bank.subset(order), model, steps=10, lr=0.05, zeta=ZETA)
         np.testing.assert_allclose(permuted.snapshots, traj.snapshots[:, order], rtol=0, atol=1e-12)
+
+        def no_step(*args):
+            raise AssertionError("descended an interleaved bank")
+
+        monkeypatch.setattr(heads, "forward", no_step)
+        interleaved = bank.subset(np.r_[30, 0:30, 31:45])
+        with pytest.raises(ValueError, match="labelled >= 0 first"):
+            shiftsim.run_shift_sim(shift_config(kind), interleaved, model, steps=10, lr=0.05, zeta=ZETA)
 
     def test_deterministic_trajectories(self):
         bank = default_bank(n_in=30, n_out=15)

@@ -8,7 +8,7 @@ import pytest
 from oodlab import criteria, gda, linalg, trainer
 from oodlab.errors import ConfigError, NonFiniteState
 from oodlab.seeding import component_seed
-from oracles import density_at_radius, max_rel_error, outlier_take_oracle
+from oracles import batch_gradients_oracle, density_at_radius, max_rel_error, outlier_take_oracle
 
 ZETA = density_at_radius(2.5)
 
@@ -218,8 +218,13 @@ def branch_interleaved(n_in, n_out, rng):
     return order
 
 
+def within_branches(n_in, n_out, rng):
+    """A row order that shuffles the first n_in rows among themselves and the rest among themselves."""
+    return np.concatenate([rng.permutation(n_in), n_in + rng.permutation(n_out)])
+
+
 class TestRowLosses:
-    """Each row's label, not its position, picks its branch of the criterion."""
+    """Each row's label picks its branch; the rows labelled >= 0 must lead the batch."""
 
     @staticmethod
     def scores_for(kind, rng, n):
@@ -233,31 +238,36 @@ class TestRowLosses:
         cfg = criteria.CriterionConfig(kind)
         in_scores, out_scores = self.scores_for(kind, rng, n_in), self.scores_for(kind, rng, n_out)
         in_y = rng.integers(0, 3, size=n_in)
-        order = branch_interleaved(n_in, n_out, rng)
-        scores = np.concatenate([in_scores, out_scores])[order]
-        labels = np.concatenate([in_y, np.full(n_out, gda.NO_LABEL)])[order]
+        scores = np.concatenate([in_scores, out_scores])
+        labels = np.concatenate([in_y, np.full(n_out, gda.NO_LABEL)])
         rep = trainer.row_losses(cfg, scores, labels, 0.7)
         in_rep = criteria.id_loss(cfg, in_scores, in_y, 0.7)
         out_rep = criteria.ood_loss(cfg, out_scores, 0.7)
-        in_rows = labels >= 0
-        np.testing.assert_array_equal(rep.value[in_rows], in_rep.value)
-        np.testing.assert_array_equal(rep.value[~in_rows], out_rep.value)
-        np.testing.assert_array_equal(rep.d_scores[in_rows], in_rep.d_scores)
-        np.testing.assert_array_equal(rep.d_scores[~in_rows], out_rep.d_scores)
+        np.testing.assert_array_equal(rep.value[:n_in], in_rep.value)
+        np.testing.assert_array_equal(rep.value[n_in:], out_rep.value)
+        np.testing.assert_array_equal(rep.d_scores[:n_in], in_rep.d_scores)
+        np.testing.assert_array_equal(rep.d_scores[n_in:], out_rep.d_scores)
 
     @pytest.mark.parametrize("kind", criteria.KINDS)
     def test_batch_gradients_follow_labels_not_positions(self, kind):
+        # Rows moved within their branch move nothing but the summation order;
+        # a row labelled >= 0 after an outlier is refused, not given the outlier branch.
         cfg = quick_config(kind, hidden=(6, 5), feature_dim=4, seed=7)
         rng = np.random.default_rng(5)
         x = 2.0 * rng.standard_normal((9, 3))
         labels = np.concatenate([rng.integers(0, 2, size=5), np.full(4, gda.NO_LABEL)])
         model = trainer.build_model(cfg, gda.LabeledSet(x[:5], labels[:5]))
-        order = branch_interleaved(5, 4, rng)
-        loss_in, loss_out, grad = trainer.batch_gradients(model, cfg.criterion, cfg.outlier_weight, x, labels)
-        got_in, got_out, got = trainer.batch_gradients(model, cfg.criterion, cfg.outlier_weight, x[order], labels[order])
-        # Each branch keeps its row order, so its mean sums the same values in the same order.
-        assert (got_in, got_out) == (loss_in, loss_out)
+        args = (model, cfg.criterion, cfg.outlier_weight)
+        loss_in, loss_out, grad = trainer.batch_gradients(*args, x, labels)
+        order = within_branches(5, 4, rng)
+        got_in, got_out, got = trainer.batch_gradients(*args, x[order], labels[order])
+        np.testing.assert_allclose([got_in, got_out], [loss_in, loss_out], rtol=1e-14, atol=0)
         np.testing.assert_allclose(got, grad, rtol=0, atol=1e-12)
+        order = branch_interleaved(5, 4, rng)
+        with pytest.raises(ValueError, match="labelled >= 0 first"):
+            trainer.batch_gradients(*args, x[order], labels[order])
+        with pytest.raises(ValueError, match="labelled >= 0 first"):
+            trainer.row_losses(cfg.criterion, np.zeros((9, 2)), labels[order], cfg.outlier_weight)
 
     def test_train_rejects_a_label_that_contradicts_its_set(self):
         # train pools both sets and lets each row's label pick its branch.
@@ -267,6 +277,96 @@ class TestRowLosses:
         for sets in ((unlabelled_in, train_out), (train_in, labelled_out)):
             with pytest.raises(ConfigError, match="class label"):
                 trainer.train(quick_config("oe", epochs=1), *sets, eval_in, eval_out)
+
+
+def bits(value):
+    """The int64 view of a float or float array, so equality compares every bit, signs of zero included."""
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def numpy_max(values):
+    return values.max(axis=-1)
+
+
+# Every criterion kind on each head it can train: the linear head rejects the ICE kinds.
+HEAD_CASES = [
+    (kind, head)
+    for kind in criteria.KINDS
+    for head in ("linear", "gaussian")
+    if head == "gaussian" or not criteria.CriterionConfig(kind).needs_gaussian_head()
+]
+
+
+class TestStepMatchesOracle:
+    """The in-first step equals the boolean-mask, allocate-and-concatenate step it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kind,head", HEAD_CASES)
+    @pytest.mark.parametrize("n_in,n_out", [(7, 5), (6, 0), (0, 4)])
+    def test_batch_gradients_bit_for_bit(self, kind, head, n_in, n_out, monkeypatch):
+        cfg = quick_config(kind, head=head, hidden=(6, 5), feature_dim=4, seed=11)
+        rng = np.random.default_rng(3 + n_in + 10 * n_out)
+        build = gda.LabeledSet(2.0 * rng.standard_normal((6, 3)), np.array([0, 1, 2, 0, 1, 2]))
+        model = trainer.build_model(cfg, build)
+        x = 2.0 * rng.standard_normal((n_in + n_out, 3))
+        labels = np.concatenate([rng.integers(0, 3, size=n_in), np.full(n_out, gda.NO_LABEL)])
+        args = (model, cfg.criterion, cfg.outlier_weight, x, labels)
+        loss_in, loss_out, grad = trainer.batch_gradients(*args)
+        monkeypatch.setattr(linalg, "row_max", numpy_max)
+        want_in, want_out, want = batch_gradients_oracle(*args)
+        assert bits([loss_in, loss_out]).tolist() == bits([want_in, want_out]).tolist()
+        np.testing.assert_array_equal(bits(grad), bits(want))
+
+    def test_fresh_vector_per_call(self):
+        cfg = quick_config("oe", hidden=(6, 5), feature_dim=4, seed=11)
+        rng = np.random.default_rng(8)
+        x = 2.0 * rng.standard_normal((7, 3))
+        labels = np.array([0, 1, 1, 0, gda.NO_LABEL, gda.NO_LABEL, gda.NO_LABEL])
+        model = trainer.build_model(cfg, gda.LabeledSet(x[:4], labels[:4]))
+        args = (model, cfg.criterion, cfg.outlier_weight)
+        first = trainer.batch_gradients(*args, x, labels)[2]
+        kept = first.copy()
+        second = trainer.batch_gradients(*args, 2.0 * x, labels)[2]
+        assert second is not first and not np.shares_memory(first, model.flat)
+        np.testing.assert_array_equal(first, kept)
+
+    @pytest.mark.parametrize(
+        "kind,head", [("ice", "gaussian"), ("oe", "linear"), ("energy", "gaussian"), ("plain", "linear")]
+    )
+    def test_training_run_matches_oracle_run(self, kind, head, monkeypatch):
+        splits = small_splits(n=400, n_hard=120)
+        cfg = quick_config(kind, head=head, epochs=2)
+        model, logs = trainer.train(cfg, *splits)
+        monkeypatch.setattr(trainer, "batch_gradients", batch_gradients_oracle)
+        monkeypatch.setattr(linalg, "row_max", numpy_max)
+        want_model, want_logs = trainer.train(cfg, *splits)
+        np.testing.assert_array_equal(bits(model.flat), bits(want_model.flat))
+        assert [log.to_json_dict() for log in logs] == [log.to_json_dict() for log in want_logs]
+
+
+class TestHistBins:
+    """At most one histogram bin per eval score, checked before the first step."""
+
+    @staticmethod
+    def reject_before_any_step(monkeypatch, bins):
+        def no_step(*args):
+            raise AssertionError("trained a step before rejecting hist_bins")
+
+        splits = small_splits(n=200, n_hard=50)
+        n_eval = len(splits[2]) + len(splits[3])
+        monkeypatch.setattr(trainer, "batch_gradients", no_step)
+        with pytest.raises(ConfigError, match=f"hist_bins={bins(n_eval)} exceeds the {n_eval} eval scores"):
+            trainer.train(quick_config("oe", epochs=1, hist_bins=bins(n_eval)), *splits)
+
+    @pytest.mark.parametrize("bins", [10**12, 2**62])
+    def test_unallocatable_count_rejected(self, bins, monkeypatch):
+        self.reject_before_any_step(monkeypatch, lambda n_eval: bins)
+
+    def test_boundary_is_one_bin_per_eval_score(self, monkeypatch):
+        splits = small_splits(n=200, n_hard=50)
+        n_eval = len(splits[2]) + len(splits[3])
+        _, logs = trainer.train(quick_config("oe", epochs=1, hist_bins=n_eval), *splits)
+        assert len(logs[0].hist_counts) == n_eval and logs[0].hist_counts.sum() == n_eval
+        self.reject_before_any_step(monkeypatch, lambda n_eval: n_eval + 1)
 
 
 class TestEpochLog:
