@@ -5,7 +5,8 @@ overrides ``[output] dir``), plus ``--seed`` to override the config seed.
 Outputs are deterministic per (config, seed); wall-clock metadata is confined
 to the ``run_meta.json`` sidecar. Exit codes: 0 success, 2 config error,
 3 non-finite training, 4 I/O error; each failure code is one class in
-``oodlab.errors``, and an ``OSError`` also exits 4.
+``oodlab.errors``. An ``OSError`` also exits 4, and a ``MemoryError`` (a
+config size no allocation can hold) exits 2.
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"{MalformedData.LABEL}: {exc}", file=sys.stderr)
         return MalformedData.EXIT_CODE
+    except MemoryError as exc:  # a size in the config that no allocation can hold
+        print(f"{ConfigError.LABEL}: {exc or 'out of memory'}", file=sys.stderr)
+        return ConfigError.EXIT_CODE
 
 
 if __name__ == "__main__":

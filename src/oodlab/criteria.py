@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
+from . import heads, linalg
 
 ICE_OOD_EPS = 1e-12
 _LN2 = math.log(2.0)
@@ -65,13 +65,6 @@ class CriterionConfig:
 
     def has_outlier_term(self) -> bool:
         return _CRITERIA[self.kind].ood_term is not None
-
-
-def _check_nonpositive(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if np.any(h > 0):
-        raise ValueError("expected non-positive Gaussian-head scores")
-    return h
 
 
 def _one_hot(scores: np.ndarray, y) -> np.ndarray:
@@ -124,7 +117,7 @@ def energy(scores: np.ndarray) -> LossReport:
 
 def ice_id(h: np.ndarray, y) -> LossReport:
     """Negated ground-truth score, -h_y: pulls the sample onto its class center."""
-    h = _check_nonpositive(h)
+    h = heads.nonpositive_scores(h)
     onehot = _one_hot(h, y)
     return LossReport(-_row_entries(h, onehot), np.where(onehot, -1.0, 0.0))
 
@@ -136,7 +129,7 @@ def ice_ood(h: np.ndarray) -> LossReport:
     ICE_OOD_EPS both the value and the gradient are computed with the floored
     denominator, so the loss tops out at -log(ICE_OOD_EPS).
     """
-    h = _check_nonpositive(h)
+    h = heads.nonpositive_scores(h)
     top = np.arange(h.shape[-1]) == np.argmax(h, axis=-1)[..., None]
     h_star = linalg.row_max(h)
     denom = np.maximum(-np.expm1(h_star), ICE_OOD_EPS)  # exact 1 - exp(h*), floored
@@ -201,7 +194,7 @@ def id_loss(config: CriterionConfig, scores: np.ndarray, y, weight: float) -> Lo
     ``scores`` is (B, K) with B labels ``y``, or one (K,) row with a scalar label.
     """
     row = _CRITERIA[config.kind]
-    scores = _check_nonpositive(scores) if row.gaussian_head else np.asarray(scores, dtype=float)
+    scores = heads.nonpositive_scores(scores) if row.gaussian_head else np.asarray(scores, dtype=float)
     return row.id_term(scores, y, weight)
 
 

@@ -3,8 +3,8 @@
 Each class carries its exit code and the label that prefixes its stderr
 line, so ``cli.main`` catches all three in one clause. Code that cannot go
 on raises one of them, with a message that says what was wrong. An
-``OSError`` from a file also exits 4; any other exception is a bug and
-shows its traceback.
+``OSError`` from a file also exits 4 and a ``MemoryError`` exits 2; any
+other exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations

@@ -2,14 +2,17 @@
 
 A fitted model is a ``heads.GaussianHeadParams``, the same type the Gaussian
 head trains: class means plus the raw form of the covariance's Cholesky
-factor. Covers fitting (per-class means, pooled MLE covariance), the closed-form linear
-discriminant that the Gaussian assumption induces, squared Mahalanobis
-distances and log-densities, and the two-cluster in/out sampler where a draw
-counts as in-distribution when its best class-conditional density clears a
-threshold. A ``LabeledSet`` row is in-distribution exactly when its label is
->= 0; out rows carry ``NO_LABEL``. The set is stored as a CSV file (the
-``gen-data`` output), written through ``floatrows.write_csv_rows`` and read
-back by ``LabeledSet.from_csv``, which checks each row's tag against its label.
+factor. Covers fitting (per-class means, pooled MLE covariance), the
+closed-form linear discriminant that the Gaussian assumption induces, class
+log-densities, and the two-cluster in/out sampler where a draw counts as
+in-distribution when its best class-conditional density clears a threshold.
+A log-density is read off the Gaussian head's score
+h_i = -(z - mu_i).T Sigma^-1 (z - mu_i) from ``heads.forward``, the one
+implementation of that distance. A ``LabeledSet`` row is in-distribution
+exactly when its label is >= 0; out rows carry ``NO_LABEL``. The set is
+stored as a CSV file (the ``gen-data`` output), written through
+``floatrows.write_csv_rows`` and read back by ``LabeledSet.from_csv``, which
+checks each row's tag against its label.
 """
 
 from __future__ import annotations
@@ -166,19 +169,13 @@ def closed_form_discriminant(model: GaussianHeadParams) -> tuple[np.ndarray, np.
     return w_hat, b_hat
 
 
-def sq_mahalanobis(model: GaussianHeadParams, z: np.ndarray) -> np.ndarray:
-    """(n, K) squared Mahalanobis distances of each row of ``z`` to every class mean."""
-    v, _ = linalg.whiten(model.tri_raw, model.means, z)
-    return np.einsum("bkj,bkj->bk", v, v)
+def log_density(model: GaussianHeadParams, h: np.ndarray) -> np.ndarray:
+    """log N(z; mu_i, Sigma) from h_i, the Gaussian head's score of z: minus its squared Mahalanobis distance to mu_i.
 
-
-def log_density(model: GaussianHeadParams, sq_mahal: np.ndarray) -> np.ndarray:
-    """log N(z; mu_i, Sigma) from the squared Mahalanobis distance of z to mu_i.
-
-    log det Sigma is 2 * sum(log diag L), which ``tri_raw`` stores as is.
+    log det Sigma is 2 * sum(log diag L), the trace of ``tri_raw``.
     """
-    log_det = 2.0 * float(np.sum(np.diag(model.tri_raw)))
-    return -0.5 * (sq_mahal + log_det + model.means.shape[1] * math.log(2.0 * math.pi))
+    log_det = 2.0 * float(model.tri_raw.trace())
+    return 0.5 * (h - log_det - model.means.shape[1] * math.log(2.0 * math.pi))
 
 
 def density_max(dims: int) -> float:

@@ -6,7 +6,9 @@ every parameter, keyed by the params dataclass's field names. ``forward``
 returns its scores with a cache, as ``backbone.forward_batch`` does, and
 ``backward`` reads that cache instead of the features. Training, checkpoints
 and the drift simulation reach a head only through them, its fields and its
-class constants (``KIND``, ``GRAD_NORM_BOUND``).
+class constants (``KIND``, ``GRAD_NORM_BOUND``). ``nonpositive_scores`` is
+the one check that scores can be Gaussian-head scores, for
+``ice_confidence`` and the criteria that need that head.
 
 The Gaussian head parameterizes the covariance through a lower-triangular
 factor whose diagonal is stored as unconstrained values and read through exp,
@@ -149,6 +151,18 @@ def backward(
     return d_z, {"means": d_means, "tri_raw": d_tri}
 
 
+def nonpositive_scores(h: np.ndarray) -> np.ndarray:
+    """``h`` as a float array, checked to be Gaussian-head scores: none positive.
+
+    Raises:
+        ValueError: if any score is positive.
+    """
+    h = np.asarray(h, dtype=float)
+    if np.any(h > 0):
+        raise ValueError("expected non-positive Gaussian-head scores")
+    return h
+
+
 def ice_confidence(h: np.ndarray) -> np.ndarray:
     """exp(max_i h_i) over the last axis: a detection confidence in (0, 1] per row.
 
@@ -159,7 +173,4 @@ def ice_confidence(h: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: if any score is positive (not a Gaussian-head score).
     """
-    h = np.asarray(h, dtype=float)
-    if np.any(h > 0):
-        raise ValueError("confidence needs non-positive scores")
-    return np.exp(linalg.row_max(h))
+    return np.exp(linalg.row_max(nonpositive_scores(h)))

@@ -103,10 +103,5 @@ def histogram(scores: Sequence[float], bins: int, value_range: tuple[float, floa
     if not lo < hi:
         raise ValueError("range must satisfy lo < hi")
     scores = np.asarray(scores, dtype=float)
-    counts = np.zeros(bins, dtype=int)
-    if scores.size:
-        idx = np.floor((scores - lo) / (hi - lo) * bins).astype(int)
-        idx = np.clip(idx, 0, bins - 1)
-        np.add.at(counts, idx, 1)
-    edges = np.linspace(lo, hi, bins + 1)
-    return Histogram(counts=counts, edges=edges)
+    idx = np.clip(np.floor((scores - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
+    return Histogram(counts=np.bincount(idx, minlength=bins), edges=np.linspace(lo, hi, bins + 1))

@@ -17,20 +17,23 @@ statistics. The statistics are computed after the descent, in one
 ``shift_stats`` call over every snapshot, and a failure is raised in step
 order: bank statistics that overflow first, then the earlier of a non-finite
 statistic and a non-finite feature, the feature first at the same step.
+Every distance, nearest center and likelihood here is read off the frozen
+model's Gaussian-head scores h_i (``heads.forward``): a squared Mahalanobis
+distance is -h_i, the nearest center has the largest h_i (``linalg.row_max``)
+and the likelihood is ``gda.log_density`` of h_i.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from . import heads
+from . import heads, linalg
 from .errors import ConfigError, NonFiniteState
 from .floatrows import CSV_END, format_cell, join_cells, write_csv_rows, write_csv_table
-from .gda import DOMAIN_IN, LabeledSet, closed_form_discriminant, log_density, sample_synthetic, sq_mahalanobis
+from .gda import DOMAIN_IN, LabeledSet, closed_form_discriminant, log_density, sample_synthetic
 from .trainer import TrainConfig, in_first_count, row_losses
 
 
@@ -97,7 +100,7 @@ def find_false_likelihood_pair(
     """
     w_hat, b_hat = closed_form_discriminant(model)
     f_scores = data.features @ w_hat[class_i] + b_hat[class_i]
-    liks = np.exp(log_density(model, sq_mahalanobis(model, data.features)[:, class_i]))
+    liks = np.exp(log_density(model, heads.forward(model, data.features)[0][:, class_i]))
 
     in_mask = data.in_mask()
     in_idx = np.nonzero(in_mask)[0]
@@ -182,26 +185,26 @@ def shift_stats(
     classes = model.means.shape[0]
     in_mask = np.asarray(domain) == DOMAIN_IN
     in_rows, out_rows = np.flatnonzero(in_mask), np.flatnonzero(~in_mask)
-    # each in row's own-class entry in a snapshot's flattened (n * classes) distances
+    # each in row's own-class entry in a snapshot's flattened (n * classes) scores
     own_entries = in_rows * classes + np.asarray(labels)[in_rows]
     per_block = max(1, STATS_BLOCK_ROWS // max(n, 1))
     table = np.full((len(fields(ShiftStats)), len(stack)), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(stack), per_block):
             block = stack[start : start + per_block]
-            sq_mahal = sq_mahalanobis(model, block.reshape(-1, dim)).reshape(len(block), n, classes)
+            h = heads.forward(model, block.reshape(-1, dim))[0].reshape(len(block), n, classes)
             norm_out, nearest_out, own_in, mixed = table[:, start : start + len(block)]
             # np.take gathers each snapshot's rows into one contiguous run, so
             # every per-snapshot mean sums in the order a lone snapshot's does.
             if out_rows.size:
                 out_feats = np.take(block, out_rows, axis=1)
                 norm_out[:] = _row_means(np.sqrt(np.add.reduce(out_feats * out_feats, axis=-1)))
-                # a fold over the class columns: min over the short last axis is far slower
-                nearest = functools.reduce(np.minimum, np.take(sq_mahal, out_rows, axis=1).transpose(2, 0, 1))
-                nearest_out[:] = _row_means(nearest)
+                # the nearest center has the highest score; a distance is a negated score
+                nearest = linalg.row_max(np.take(h, out_rows, axis=1))
+                np.negative(_row_means(nearest), out=nearest_out)
                 mixed[:] = _row_means(np.exp(log_density(model, nearest)) > zeta)
             if in_rows.size:
-                own_in[:] = _row_means(np.take(sq_mahal.reshape(len(block), -1), own_entries, axis=1))
+                np.negative(_row_means(np.take(h.reshape(len(block), -1), own_entries, axis=1)), out=own_in)
     if not lead:
         return ShiftStats(*table[:, 0].tolist())
     return ShiftStats(*table.reshape(-1, *lead))

@@ -13,9 +13,12 @@ holds. ``batch_gradients_oracle`` is the training step with boolean-mask
 branches, an allocating backward and concatenated parts, which
 ``trainer.batch_gradients`` must match bit for bit.
 ``class_likelihood``, ``posterior`` and ``density_at_radius`` are the
-per-sample Gaussian forms, built on ``gda.sq_mahalanobis``/``gda.log_density``,
-``gda.closed_form_discriminant`` and ``gda.density_max``, so the
-explicit-density oracles above can check them. ``outlier_take_oracle`` is the
+per-sample Gaussian forms, built on the Gaussian head's scores
+(``head_row``)/``gda.log_density``, ``gda.closed_form_discriminant`` and
+``gda.density_max``, so the explicit-density oracles above can check them.
+``shift_stats_oracle`` is ``shiftsim.shift_stats`` row by row, with Sigma^-1
+from ``tied_cov``, a Python ``min`` over the classes and ``gaussian_density``
+against the threshold. ``outlier_take_oracle`` is the
 list-based outlier cycler that the array-based ``trainer._OutlierCycler`` must
 match index for index. ``materialize`` builds the factor L that a raw
 ``tri_raw`` stands for, ``tied_cov`` is a model's covariance L L.T, and
@@ -225,9 +228,8 @@ def batch_gradients_oracle(model, criterion, weight, x, labels):
 
 
 def class_likelihood(model, z, i):
-    """N(z; mu_i, Sigma) of one (d,) vector, via ``gda.sq_mahalanobis`` and ``gda.log_density``."""
-    sq = gda.sq_mahalanobis(model, np.asarray(z, dtype=float)[None, :])
-    return math.exp(gda.log_density(model, sq)[0, i])
+    """N(z; mu_i, Sigma) of one (d,) vector, via ``heads.forward`` and ``gda.log_density``."""
+    return math.exp(gda.log_density(model, head_row(model, z)[i]))
 
 
 def posterior(model, z):
@@ -254,6 +256,33 @@ def tied_cov(model):
     """The shared covariance L L.T of a tied-covariance Gaussian model."""
     lower = materialize(model.tri_raw)
     return lower @ lower.T
+
+
+def shift_stats_oracle(snapshot, labels, domain, model, zeta):
+    """The four ``shiftsim.ShiftStats`` fields of one (n, d) snapshot, row by row.
+
+    Squared Mahalanobis distances use Sigma^-1 from ``tied_cov``; an out row's
+    nearest center is Python ``min`` over the classes, and it counts as mixed
+    when ``gaussian_density`` at that center exceeds ``zeta``. A field with no
+    rows to average is NaN, in the ``ShiftStats`` field order.
+    """
+    cov = tied_cov(model)
+    precision = np.linalg.inv(cov)
+    norms, nearest, own, mixed = [], [], [], []
+    for z, label, tag in zip(np.asarray(snapshot, dtype=float), labels, domain):
+        dists = [float((z - mean) @ precision @ (z - mean)) for mean in model.means]
+        if tag == "in":
+            own.append(dists[label])
+            continue
+        norms.append(math.sqrt(sum(float(v) * float(v) for v in z)))
+        best = min(range(len(dists)), key=dists.__getitem__)
+        nearest.append(dists[best])
+        mixed.append(1.0 if gaussian_density(z, model.means[best], cov) > zeta else 0.0)
+
+    def mean(values):
+        return sum(values) / len(values) if values else math.nan
+
+    return mean(norms), mean(nearest), mean(own), mean(mixed)
 
 
 def tri_inverse_oracle(tri_raw):

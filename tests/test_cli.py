@@ -291,6 +291,27 @@ class TestHistBinsBound:
         assert not (out / "epochs.jsonl").exists()
 
 
+class TestUnallocatableSizes:
+    @pytest.mark.parametrize(
+        "command,section,key",
+        [
+            ("simulate-shift", "shift", "steps"),
+            ("simulate-shift", "shift", "n_in"),
+            ("gen-data", "data", "n"),
+            ("train", "data", "n"),
+            ("demo-false-likelihood", "data", "n"),
+            ("train", "data", "n_hard"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, section, key):
+        # Each asks for TiB to PiB at its first allocation, which fails at once;
+        # it used to exit 1 with numpy's allocation traceback.
+        cfg = write_ini(tmp_path / "c.ini", {section: {key: "1000000000000"}})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestMalformedInputFiles:
     def test_truncated_checkpoint_is_io_error(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", {"training": {"epochs": "1"}})

@@ -181,7 +181,7 @@ class TestIceConfidence:
         assert value == 0.0  # documented underflow of the (0, 1] range
 
     def test_positive_score_rejected(self):
-        with pytest.raises(ValueError, match="confidence needs non-positive scores"):
+        with pytest.raises(ValueError, match="expected non-positive Gaussian-head scores"):
             heads.ice_confidence(np.array([0.1, -2.0]))
 
     def test_one_iff_zero_score(self):
@@ -203,7 +203,7 @@ class TestIceConfidence:
     def test_one_positive_row_rejects_the_batch(self):
         h = -np.ones((3, 2))
         h[1, 0] = 0.25
-        with pytest.raises(ValueError, match="confidence needs non-positive scores"):
+        with pytest.raises(ValueError, match="expected non-positive Gaussian-head scores"):
             heads.ice_confidence(h)
 
 

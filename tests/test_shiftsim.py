@@ -1,11 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from oodlab import criteria, gda, heads, linalg, shiftsim, trainer
 from oodlab.errors import ConfigError, NonFiniteState
-from oracles import density_at_radius, tied_cov
+from oracles import density_at_radius, shift_stats_oracle, tied_cov
 
 ZETA = density_at_radius(2.5)
 
@@ -150,6 +151,22 @@ class TestShiftStats:
             want = np.array(alone).view(np.int64)
             np.testing.assert_array_equal(np.asarray(getattr(stack, field)).view(np.int64), want)
             np.testing.assert_array_equal(np.asarray(getattr(nested, field)).view(np.int64), want[:, None])
+
+    @pytest.mark.parametrize("kind", ["ice", "oe"])
+    def test_matches_the_row_by_row_oracle(self, kind):
+        # An ICE and an OE drift of a 40 + 40 bank; the stack and three lone
+        # snapshots must give the brute force's nearest centers, own-center
+        # distances, norms and mixed fractions.
+        bank = default_bank(n_in=40, n_out=40)
+        model = gda.fit_gda(bank)
+        snapshots = shiftsim.run_shift_sim(shift_config(kind), bank, model, steps=8, lr=0.2, zeta=ZETA).snapshots
+        want = np.array([shift_stats_oracle(s, bank.labels, bank.domain, model, ZETA) for s in snapshots])
+        assert np.any((0.0 < want[:, 3]) & (want[:, 3] < 1.0))  # both sides of zeta are exercised
+        stack = shiftsim.shift_stats(snapshots, bank.labels, bank.domain, model, ZETA)
+        assert np.stack(astuple(stack), axis=1) == pytest.approx(want, rel=1e-12)
+        for step in (0, 4, 8):
+            single = shiftsim.shift_stats(snapshots[step], bank.labels, bank.domain, model, ZETA)
+            assert astuple(single) == pytest.approx(tuple(want[step]), rel=1e-12)
 
 
 class TestRunShiftSim:
